@@ -19,7 +19,7 @@ from ..corpus import Sentence
 from ..neural.layers import init_birnn_params, birnn_layer, uniform_param, zeros_param
 from ..neural.optim import AdamConfig, AdamState, adam_step, collect_grads, zero_grads
 from ..neural.tensor import Tensor, concat, log_softmax
-from .lemma import LemmaCategoryInventory, apply_edit_script, derive_edit_script
+from .lemma import EditScriptError, LemmaCategoryInventory, apply_edit_script, derive_edit_script
 from .parser import biaffine_scores, decode_tree, init_biaffine_params
 
 UNK = "<unk>"
@@ -239,7 +239,7 @@ class TaggerModel:
             script = self.data.inventory.categories[int(category)]
             try:
                 lemmas.append(apply_edit_script(token.form, script))
-            except Exception:
+            except EditScriptError:
                 lemmas.append(token.form)
         return tags, lemmas
 

@@ -2,9 +2,23 @@
 
 Arc score(i, j) = Hi' U Dj + u'Hi + v'Dj + b over head representations H
 (artificial root prepended, n+1 rows) and dependent representations D
-(n rows).  Decoding finds the highest-scoring arborescence rooted at the
-artificial root via Chu-Liu/Edmonds, with at most one root child by
-default; score ties prefer the smaller head index.
+(n rows).
+
+``decode_tree`` runs Chu-Liu/Edmonds once over a dense (n+1, n+1) score
+matrix.  Each column's argmax is its greedy head; a greedy cycle becomes
+one node, whose entering arcs (score minus the cycle arc they displace)
+and leaving arcs are chosen by vectorised argmaxes; this repeats until
+the greedy heads form a tree, which is expanded back through the
+contractions.  The single-root constraint (Zmigrod, Vieira and Cotterell
+2020, arXiv:2010.02550) is applied in the same pass: root arcs stay out
+of the greedy choice while more than one node remains, so contraction
+goes on until all tokens are one node, which then takes the best root
+arc.  That is Chu-Liu/Edmonds under the lexicographic weight (-root
+arcs, score), so the result is exact with no re-decode per root child.
+At most n contractions of O(n^2) vectorised work each: O(n^3) in all.
+Score ties go to the smaller head: every argmax breaks ties by the tokens
+behind the (possibly contracted) arcs, toward the smaller head token, or
+the smaller dependent token when choosing where an arc enters a cycle.
 """
 
 from __future__ import annotations
@@ -80,110 +94,85 @@ def biaffine_scores(heads: Tensor, dependents: Tensor, params: dict[str, Tensor]
     return DepArcScores(arc=arc, label=label)
 
 
-def _find_cycle(head_of: dict[int, int]) -> list[int] | None:
-    state: dict[int, int] = {}
-    for start in head_of:
-        if state.get(start, 0) == 2:
-            continue
-        path = []
-        node = start
-        while node in head_of and state.get(node, 0) == 0:
+def _greedy_cycle(greedy: list[int]) -> list[int] | None:
+    """The first cycle of node -> greedy[node] met walking from node 1 up;
+    node 0 (the root) has no head."""
+    state = [0] * len(greedy)  # 0 unseen, 1 on the current walk, 2 done
+    state[0] = 2
+    for start in range(1, len(greedy)):
+        path, node = [], start
+        while state[node] == 0:
             state[node] = 1
             path.append(node)
-            node = head_of[node]
-        if node in head_of and state.get(node) == 1:
-            cycle = path[path.index(node) :]
-            return cycle
+            node = greedy[node]
+        if state[node] == 1:
+            return path[path.index(node) :]
         for visited in path:
             state[visited] = 2
     return None
 
 
-def _chu_liu_edmonds(
-    scores: dict[tuple[int, int], float], nodes: list[int], root: int, fresh: list[int]
-) -> dict[int, int]:
-    """Return the best head for every non-root node.
-
-    ``scores`` maps (head, dependent) to weight; missing arcs are
-    forbidden.  Ties prefer the smaller head id.
-    """
-    best: dict[int, int] = {}
-    for dependent in nodes:
-        if dependent == root:
-            continue
-        candidates = [h for h in nodes if (h, dependent) in scores]
-        if not candidates:
-            raise ValueError(f"node {dependent} has no incoming arcs")
-        best[dependent] = max(candidates, key=lambda h: (scores[(h, dependent)], -h))
-
-    cycle = _find_cycle(best)
-    if cycle is None:
-        return best
-
-    cycle_set = set(cycle)
-    cycle_score = sum(scores[(best[d], d)] for d in cycle)
-    contracted = fresh[0]
-    fresh[0] += 1
-
-    new_scores: dict[tuple[int, int], float] = {}
-    entering: dict[int, tuple[int, int]] = {}
-    leaving: dict[int, tuple[int, int]] = {}
-    for (head, dependent), weight in scores.items():
-        head_in, dep_in = head in cycle_set, dependent in cycle_set
-        if head_in and dep_in:
-            continue
-        if dep_in:
-            adjusted = weight + cycle_score - scores[(best[dependent], dependent)]
-            key = (head, contracted)
-            if key not in new_scores or adjusted > new_scores[key] or (
-                adjusted == new_scores[key] and dependent < entering[head][1]
-            ):
-                new_scores[key] = adjusted
-                entering[head] = (head, dependent)
-        elif head_in:
-            key = (contracted, dependent)
-            if key not in new_scores or weight > new_scores[key] or (
-                weight == new_scores[key] and head < leaving[dependent][0]
-            ):
-                new_scores[key] = weight
-                leaving[dependent] = (head, dependent)
-        else:
-            new_scores[(head, dependent)] = weight
-
-    new_nodes = [n for n in nodes if n not in cycle_set] + [contracted]
-    solution = _chu_liu_edmonds(new_scores, new_nodes, root, fresh)
-
-    expanded: dict[int, int] = {}
-    for dependent, head in solution.items():
-        if dependent == contracted:
-            enter_head, enter_dep = entering[head]
-            expanded[enter_dep] = enter_head
-            for d in cycle:
-                if d != enter_dep:
-                    expanded[d] = best[d]
-        elif head == contracted:
-            expanded[dependent] = leaving[dependent][0]
-        else:
-            expanded[dependent] = head
-    return expanded
+def _argmax(values: np.ndarray, token: np.ndarray, axis: int) -> np.ndarray:
+    """Argmax along ``axis``; ties go to the smallest ``token``."""
+    tied = values == values.max(axis=axis, keepdims=True)
+    return np.where(tied, token, np.iinfo(token.dtype).max).argmin(axis=axis)
 
 
-def _decode_with_arcs(arc: np.ndarray, allowed_root_children: set[int] | None) -> dict[int, int]:
-    n = arc.shape[1]
-    scores: dict[tuple[int, int], float] = {}
-    for dependent in range(1, n + 1):
-        for head in range(0, n + 1):
-            if head == dependent:
-                continue
-            if head == 0 and allowed_root_children is not None:
-                if dependent not in allowed_root_children:
-                    continue
-            scores[(head, dependent)] = float(arc[head, dependent - 1])
-    return _chu_liu_edmonds(scores, list(range(n + 1)), 0, [n + 1])
+def _append_node(matrix: np.ndarray, rest: np.ndarray, column, row, corner) -> np.ndarray:
+    """Keep the ``rest`` rows and columns, then add a last column and row."""
+    out = np.empty((len(rest) + 1,) * 2, dtype=matrix.dtype)
+    out[:-1, :-1] = matrix[rest][:, rest]
+    out[:-1, -1], out[-1, :-1], out[-1, -1] = column, row, corner
+    return out
 
 
-def _tree_score(arc: np.ndarray, heads: dict[int, int]) -> float:
-    return sum(arc[h, d - 1] for d, h in heads.items())
+def _max_arborescence(weight: np.ndarray, single_root: bool) -> np.ndarray:
+    """Heads of nodes 1..n in the best arborescence of ``weight[head, dep]``
+    ((n+1, n+1), root 0, -inf where an arc is absent)."""
+    n = weight.shape[0] - 1
+    labels = np.arange(n + 1)  # label of each row/column; contractions get n+1, n+2, ...
+    src, dst = np.indices(weight.shape)  # original arc behind each contracted arc
+    absorbed_by = np.full(2 * n + 1, -1)
+    contractions = []
+    while True:
+        # Under single_root, root arcs compete only once one node is left.
+        first = 1 if single_root and len(labels) > 2 else 0
+        greedy = _argmax(weight[first:], src[first:], axis=0) + first
+        cycle = _greedy_cycle(greedy.tolist())
+        if cycle is None:
+            break
+        cycle = np.sort(cycle)
+        outside = np.ones(len(labels), dtype=bool)
+        outside[cycle] = False
+        rest = np.flatnonzero(outside)
+        inside = greedy[cycle]
+        # Entering arc per outside head (ties: smaller dependent token),
+        # leaving arc per outside dependent (ties: smaller head token).
+        entering = weight[rest][:, cycle] - weight[inside, cycle]
+        enter = cycle[_argmax(entering, dst[rest][:, cycle], axis=1)]
+        leave = cycle[_argmax(weight[cycle][:, rest], src[cycle][:, rest], axis=0)]
+        label = n + 1 + len(contractions)
+        contractions.append((label, labels[cycle], src[inside, cycle], dst[inside, cycle]))
+        absorbed_by[labels[cycle]] = label
+        weight = _append_node(weight, rest, entering.max(axis=1), weight[leave, rest], NEG_INF)
+        src = _append_node(src, rest, src[rest, enter], src[leave, rest], 0)
+        dst = _append_node(dst, rest, dst[rest, enter], dst[leave, rest], 0)
+        labels = np.append(labels[rest], label)
+
+    # Expand: each contraction's entering arc replaces the cycle arc of the
+    # member holding its dependent; the other members keep their cycle arcs.
+    head_of = np.zeros(2 * n + 1, dtype=np.intp)
+    target = np.zeros(2 * n + 1, dtype=np.intp)
+    head_of[labels[1:]] = src[greedy[1:], np.arange(1, len(labels))]
+    target[labels[1:]] = dst[greedy[1:], np.arange(1, len(labels))]
+    for label, members, cycle_heads, cycle_targets in reversed(contractions):
+        member = target[label]
+        while absorbed_by[member] != label:
+            member = absorbed_by[member]
+        entered = head_of[label], target[label]
+        head_of[members], target[members] = cycle_heads, cycle_targets
+        head_of[member], target[member] = entered
+    return head_of[1 : n + 1]
 
 
 def decode_tree(
@@ -202,23 +191,11 @@ def decode_tree(
     if n == 0:
         return [], [] if scores.label is not None else None
 
-    heads = _decode_with_arcs(arc, None)
-    if single_root:
-        root_children = [d for d, h in heads.items() if h == 0]
-        if len(root_children) != 1:
-            best_heads, best_score = None, NEG_INF
-            for candidate in range(1, n + 1):
-                forced = _decode_with_arcs(arc, {candidate})
-                score = _tree_score(arc, forced)
-                if score > best_score:
-                    best_heads, best_score = forced, score
-            heads = best_heads
-
-    head_list = [heads[d] for d in range(1, n + 1)]
+    weight = np.full((n + 1, n + 1), NEG_INF)
+    weight[:, 1:] = arc
+    np.fill_diagonal(weight[1:, 1:], NEG_INF)
+    heads = _max_arborescence(weight, single_root)
     labels = None
     if scores.label is not None:
-        label_data = np.asarray(scores.label.data)
-        labels = [
-            int(np.argmax(label_data[head_list[d - 1], d - 1])) for d in range(1, n + 1)
-        ]
-    return head_list, labels
+        labels = np.asarray(scores.label.data)[heads, np.arange(n)].argmax(axis=-1).tolist()
+    return heads.tolist(), labels

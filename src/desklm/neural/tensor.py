@@ -220,14 +220,15 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit, tanh approximation."""
-        c = np.sqrt(2.0 / np.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x**3)
+        # Constants in x's dtype: a float64 scalar would promote float32 input.
+        c, a = x.dtype.type(np.sqrt(2.0 / np.pi)), x.dtype.type(0.044715)
+        inner = c * (x + a * x**3)
         t = np.tanh(inner)
         out = Tensor(0.5 * x * (1.0 + t), parents=(self,))
 
         def backward(g):
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
+            dinner = c * (1.0 + 3 * a * x**2)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
             self._accumulate(g * local)
 
@@ -284,7 +285,8 @@ class Tensor:
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
+        axes = range(self.ndim) if axis is None else np.atleast_1d(axis)
+        count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 

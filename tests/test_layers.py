@@ -31,6 +31,13 @@ def _params64(config, seed=0):
 
 
 class TestTransformerForward:
+    def test_float32_parameters_give_float32_outputs(self):
+        params = init_transformer_params(TINY, seed=0, dtype=np.float32)
+        ids = np.array([[1, 4, 9, 2], [3, 3, 0, 2]])
+        outputs = forward_transformer(TINY, params, ids, pad_mask=ids != 0)
+        assert [o.data.dtype for o in outputs] == [np.float32] * (TINY.layers + 1)
+        assert mlm_logits(TINY, params, outputs[-1]).data.dtype == np.float32
+
     def test_returns_all_layer_outputs_with_shape(self):
         params = _params64(TINY)
         ids = np.array([[1, 4, 9, 2], [3, 3, 0, 2]])

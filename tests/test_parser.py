@@ -185,3 +185,70 @@ class TestDecodeTree:
         arc = np.zeros((4, 3))
         heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)))
         assert _is_valid_arborescence(heads)
+
+    @pytest.mark.parametrize(
+        "arc, single_root, expected",
+        [
+            # All scores equal.
+            (np.zeros((5, 4)), True, [0, 1, 1, 1]),
+            (np.zeros((5, 4)), False, [0, 0, 0, 0]),
+            # Token 3 scores 4 from token 1 and from token 2.
+            ([[5, 0, 0], [0, 5, 4], [0, 0, 4], [0, 0, 0]], True, [0, 1, 1]),
+            ([[5, 0, 0], [0, 5, 4], [0, 0, 4], [0, 0, 0]], False, [0, 1, 1]),
+            # Token 2 scores 3 from the root and from token 1.
+            ([[5, 3], [0, 3], [0, 0]], False, [0, 0]),
+            # A symmetric cycle: the root enters it at token 1, which then
+            # heads token 2, rather than at token 2.
+            ([[1, 1], [0, 10], [10, 0]], True, [0, 1]),
+            # Tokens 1 and 2 form a cycle; token 3 scores 5 from either.
+            ([[1, 0, 0], [0, 10, 5], [10, 0, 5], [0, 0, 0]], True, [0, 1, 1]),
+        ],
+    )
+    def test_score_ties_go_to_the_smaller_head(self, arc, single_root, expected):
+        arc = np.array(arc, dtype=np.float64)
+        heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)), single_root=single_root)
+        assert heads == expected
+
+    def test_float32_scores(self):
+        rng = np.random.RandomState(7)
+        arc = rng.randn(13, 12).astype(np.float32)
+        label = rng.randn(13, 12, 5).astype(np.float32)
+        heads, labels = decode_tree(DepArcScores(arc=Tensor(arc), label=Tensor(label)))
+        heads64, labels64 = decode_tree(
+            DepArcScores(arc=Tensor(arc.astype(np.float64)), label=Tensor(label.astype(np.float64)))
+        )
+        assert _is_valid_arborescence(heads)
+        assert (heads, labels) == (heads64, labels64)
+        assert labels == [int(np.argmax(label[h, d])) for d, h in enumerate(heads)]
+
+    @pytest.mark.parametrize("n", [100, 120, 150])
+    def test_ambiguous_root_worst_case(self, n):
+        # A planted tree plus a second token that scores highest from the
+        # root, so the unconstrained optimum has two root children.
+        rng = np.random.RandomState(n)
+        gold_heads = [0] + [int(rng.randint(1, d)) for d in range(2, n + 1)]
+        order = rng.permutation(n) + 1
+        relabel = dict(zip(range(1, n + 1), order))
+        arc = rng.randn(n + 1, n)
+        arc[0] -= 3.0
+        for d, h in enumerate(gold_heads, start=1):
+            arc[relabel.get(h, 0), relabel[d] - 1] += 3.0
+        arc[0, relabel[1] - 1] += 6.0
+        other = relabel[2]
+        arc[0, other - 1] = arc.max() + 3.0
+        heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)))
+        assert _is_valid_arborescence(heads)
+        unconstrained, _ = decode_tree(DepArcScores(arc=Tensor(arc)), single_root=False)
+        assert unconstrained.count(0) > 1
+
+        # Oracle: forbid all root arcs but one, decode without the root
+        # constraint, keep the best over all allowed root children.
+        best = -np.inf
+        for child in range(n):
+            masked = arc.copy()
+            masked[0] = -1e6
+            masked[0, child] = arc[0, child]
+            forced, _ = decode_tree(DepArcScores(arc=Tensor(masked)), single_root=False)
+            assert forced[child] == 0 and forced.count(0) == 1
+            best = max(best, _tree_score(arc, forced))
+        assert _tree_score(arc, heads) == pytest.approx(best, abs=1e-9)

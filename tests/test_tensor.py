@@ -84,6 +84,26 @@ class TestBasicOps:
             (x * 2).backward()
 
 
+class TestMean:
+    def test_tuple_and_negative_axis_values(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        x = Tensor(data)
+        assert np.allclose(x.mean(axis=(0, 1)).data, data.mean(axis=(0, 1)))
+        assert np.allclose(x.mean(axis=(0, -1), keepdims=True).data,
+                           data.mean(axis=(0, -1), keepdims=True))
+        assert np.allclose(x.mean(axis=-2).data, data.mean(axis=-2))
+        assert x.mean().data == pytest.approx(data.mean())
+
+    @pytest.mark.parametrize("axis", [(0, 1), (-1, 0), -1, -2])
+    def test_gradient(self, axis):
+        x = _param(np.random.RandomState(3).randn(2, 3, 4))
+        weights = Tensor(np.random.RandomState(4).randn(2, 3, 4))
+        report = gradient_check(
+            lambda: ((x * weights).mean(axis=axis) ** 2).sum(), {"x": x}, tolerance=1e-6
+        )
+        assert report.passed
+
+
 class TestSoftmaxFamily:
     def test_softmax_rows_sum_to_one(self):
         x = Tensor(np.random.RandomState(0).randn(5, 7) * 20)
