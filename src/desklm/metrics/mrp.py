@@ -10,6 +10,19 @@ precision/recall/F1 plus a pooled micro-average.
 The search is exact (branch and bound over injective mappings) up to a
 node limit, and seeded hill-climbing with greedy restarts beyond it; the
 result records which method produced it.
+
+Both searches score moves incrementally.  Under an injective mapping the
+matched-item count is a sum of independent terms: one per mapped gold
+node (tops, label, anchors, properties against its image) and one per
+group of gold edges sharing a (source, target, label) key (edges and
+their attributes against the edges between the endpoints' images).
+These terms are precomputed once per pair (``_Problem``).  Branch and
+bound carries the running score down the recursion, adding a node's pair
+term and the terms of its edges to already-mapped nodes; the bound
+charges each edge group to its later endpoint in the search order.  The
+hill-climber scores a trial move from the terms of the moved node and
+the node it displaces only.  ``_mapping_score`` re-scores a whole mapping
+and is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -75,12 +88,6 @@ class MrpGraph:
                             f"graph {self.id}: anchor ({start},{end}) outside input"
                         )
 
-    def node_by_id(self, node_id: int) -> MrpNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise MrpError(f"graph {self.id}: unknown node {node_id}")
-
 
 # ---------------------------------------------------------------------------
 # JSON-lines interchange
@@ -94,6 +101,14 @@ def _pairs_from_parallel(names, values) -> tuple[tuple[str, str], ...]:
     return tuple((str(n), str(v)) for n, v in zip(names, values))
 
 
+def _integer(value) -> int:
+    """A node id, edge endpoint, anchor offset or top: an int or a string
+    of one.  ``int()`` alone would truncate 1.5 and accept ``true``."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def read_mrp_jsonl(text: str) -> list[MrpGraph]:
     """Parse JSON-lines graphs (one object per line)."""
     graphs = []
@@ -104,35 +119,44 @@ def read_mrp_jsonl(text: str) -> list[MrpGraph]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MrpError(f"line {number}: invalid JSON: {exc}") from None
-        nodes = tuple(
-            MrpNode(
-                id=int(n["id"]),
-                label=n.get("label"),
-                properties=_pairs_from_parallel(n.get("properties"), n.get("values")),
-                anchors=tuple(
-                    (int(a["from"]), int(a["to"])) for a in n.get("anchors") or []
-                ),
+        if not isinstance(obj, dict):
+            raise MrpError(f"line {number}: expected a JSON object")
+        try:
+            nodes = tuple(
+                MrpNode(
+                    id=_integer(n["id"]),
+                    label=n.get("label"),
+                    properties=_pairs_from_parallel(n.get("properties"), n.get("values")),
+                    anchors=tuple(
+                        (_integer(a["from"]), _integer(a["to"])) for a in n.get("anchors") or []
+                    ),
+                )
+                for n in obj.get("nodes") or []
             )
-            for n in obj.get("nodes") or []
-        )
-        edges = tuple(
-            MrpEdge(
-                source=int(e["source"]),
-                target=int(e["target"]),
-                label=e.get("label"),
-                attributes=_pairs_from_parallel(e.get("attributes"), e.get("values")),
+            edges = tuple(
+                MrpEdge(
+                    source=_integer(e["source"]),
+                    target=_integer(e["target"]),
+                    label=e.get("label"),
+                    attributes=_pairs_from_parallel(e.get("attributes"), e.get("values")),
+                )
+                for e in obj.get("edges") or []
             )
-            for e in obj.get("edges") or []
-        )
-        graphs.append(
-            MrpGraph(
-                id=str(obj.get("id", number)),
-                nodes=nodes,
-                edges=edges,
-                tops=frozenset(int(t) for t in obj.get("tops") or []),
-                input=obj.get("input"),
+            graphs.append(
+                MrpGraph(
+                    id=str(obj.get("id", number)),
+                    nodes=nodes,
+                    edges=edges,
+                    tops=frozenset(_integer(t) for t in obj.get("tops") or []),
+                    input=obj.get("input"),
+                )
             )
-        )
+        except KeyError as exc:
+            raise MrpError(f"line {number}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MrpError(f"line {number}: malformed value: {exc}") from None
+        except MrpError as exc:
+            raise MrpError(f"line {number}: {exc}") from None
     return graphs
 
 
@@ -263,145 +287,218 @@ class McesAlignment:
     exact: bool = True
 
 
-def _pair_score(gold: _FacetIndex, system: _FacetIndex, g: int, s: int) -> int:
-    score = 0
-    if g in gold.tops and s in system.tops:
-        score += 1
-    if g in gold.labels and gold.labels[g] == system.labels.get(s):
-        score += 1
-    if g in gold.anchors and gold.anchors[g] == system.anchors.get(s):
-        score += 1
-    gold_props = Counter(
-        {(n, v): c for (node, n, v), c in gold.properties.items() if node == g}
-    )
-    system_props = Counter(
-        {(n, v): c for (node, n, v), c in system.properties.items() if node == s}
-    )
-    score += sum((gold_props & system_props).values())
-    return score
+@dataclass(frozen=True)
+class _Problem:
+    """One gold/system pair, precomputed once for both searches.
+
+    Under an injective mapping distinct gold nodes, and so distinct gold
+    edge keys, have distinct images, and the counter intersections of
+    ``_facet_correct`` split into independent terms:
+
+    - ``pair[g][s]``: the tops, label, anchors and properties matched by
+      mapping gold node ``g`` to system node ``s``;
+    - for each group of gold edges sharing the key ``(src, tgt, label)``,
+      ``terms[(a, b)]``: the edges and attributes it matches once ``src``
+      maps to ``a`` and ``tgt`` to ``b`` (0 for any pair not in ``terms``).
+
+    ``groups`` holds each group's ``(src, tgt, weight)``, where ``weight``
+    counts its gold edges and attributes, the most it can match;
+    ``incident[g]`` holds ``(other endpoint, terms, g is the source)`` for
+    each group touching gold node ``g``.
+    """
+
+    gold_ids: list[int]
+    system_ids: list[int]
+    pair: dict[int, dict[int, int]]
+    groups: list[tuple[int, int, int]]
+    incident: dict[int, list[tuple[int, dict[tuple[int, int], int], bool]]]
+
+    @classmethod
+    def build(
+        cls, gold_graph: MrpGraph, gold: _FacetIndex, system_graph: MrpGraph, system: _FacetIndex
+    ) -> "_Problem":
+        gold_ids = [n.id for n in gold_graph.nodes]
+        system_ids = [n.id for n in system_graph.nodes]
+        gold_props = _properties_by_node(gold)
+        system_props = _properties_by_node(system)
+        pair: dict[int, dict[int, int]] = {}
+        for g in gold_ids:
+            label = gold.labels.get(g)
+            anchors = gold.anchors.get(g)
+            props = gold_props.get(g, {})
+            top = g in gold.tops
+            pair[g] = {
+                s: (top and s in system.tops)
+                + (label is not None and label == system.labels.get(s))
+                + (anchors is not None and anchors == system.anchors.get(s))
+                + sum(
+                    min(count, system_props.get(s, {}).get(key, 0))
+                    for key, count in props.items()
+                )
+                for s in system_ids
+            }
+
+        gold_attributes: dict[tuple, list[tuple[str, str, int]]] = {}
+        for (src, tgt, label, name, value), count in gold.attributes.items():
+            gold_attributes.setdefault((src, tgt, label), []).append((name, value, count))
+        system_edges: dict[str | None, list[tuple[int, int, int]]] = {}
+        for (a, b, label), count in system.edges.items():
+            system_edges.setdefault(label, []).append((a, b, count))
+        groups = []
+        incident: dict[int, list] = {g: [] for g in gold_ids}
+        for (src, tgt, label), count in gold.edges.items():
+            attributes = gold_attributes.get((src, tgt, label), [])
+            terms = {
+                (a, b): min(count, system_count)
+                + sum(
+                    min(c, system.attributes.get((a, b, label, name, value), 0))
+                    for name, value, c in attributes
+                )
+                for a, b, system_count in system_edges.get(label, [])
+            }
+            groups.append((src, tgt, count + sum(c for _, _, c in attributes)))
+            incident[src].append((tgt, terms, True))
+            if tgt != src:
+                incident[tgt].append((src, terms, False))
+        return cls(gold_ids, system_ids, pair, groups, incident)
+
+    def local_score(self, mapping: dict[int, int], changed: dict[int, int | None]) -> int:
+        """Pair terms of the nodes in ``changed`` plus the terms of every edge
+        group touching one of them, under ``mapping`` overridden by
+        ``changed`` (``None`` leaves a node unmapped).
+
+        For a node ``g`` missing from ``mapping``, ``local_score(mapping,
+        {g: s})`` is the gain of adding ``g -> s``; a move's gain is the
+        difference of this score after and before it.
+        """
+        total = 0
+        done: tuple[int, ...] = ()
+        for node, image in changed.items():
+            # An unmapped node's groups all score 0.
+            if image is not None:
+                total += self.pair[node][image]
+                for other, terms, forward in self.incident[node]:
+                    # A group between two changed nodes counts once.
+                    if other in done:
+                        continue
+                    t = changed[other] if other in changed else mapping.get(other)
+                    total += terms.get((image, t) if forward else (t, image), 0)
+            done += (node,)
+        return total
 
 
-def _exact_search(
-    gold_graph: MrpGraph, gold: _FacetIndex, system_graph: MrpGraph, system: _FacetIndex
-) -> dict[int, int]:
-    gold_ids = [n.id for n in gold_graph.nodes]
-    system_ids = [n.id for n in system_graph.nodes]
+def _properties_by_node(index: _FacetIndex) -> dict[int, dict[tuple[str, str], int]]:
+    by_node: dict[int, dict[tuple[str, str], int]] = {}
+    for (node, name, value), count in index.properties.items():
+        by_node.setdefault(node, {})[(name, value)] = count
+    return by_node
 
-    pair_scores = {
-        (g, s): _pair_score(gold, system, g, s) for g in gold_ids for s in system_ids
-    }
-    best_pair = {g: max((pair_scores[(g, s)] for s in system_ids), default=0) for g in gold_ids}
 
+def _exact_search(problem: _Problem) -> dict[int, int]:
+    pair = problem.pair
+    gold_ids = list(problem.gold_ids)
+    best_pair = {g: max(pair[g].values(), default=0) for g in gold_ids}
     edge_weight: dict[int, int] = dict.fromkeys(gold_ids, 0)
-    for (src, tgt, label), count in gold.edges.items():
-        bonus = count + sum(
-            c
-            for (a, b, l, _, _), c in gold.attributes.items()
-            if (a, b, l) == (src, tgt, label)
-        )
-        edge_weight[src] += bonus
+    for src, tgt, weight in problem.groups:
+        edge_weight[src] += weight
         if tgt != src:
-            edge_weight[tgt] += bonus
+            edge_weight[tgt] += weight
 
     # Order gold nodes by optimistic contribution, largest first, so good
     # assignments surface early and the bound prunes aggressively.
     gold_ids.sort(key=lambda g: -(best_pair[g] + edge_weight[g]))
-    # Optimistic remaining gain from suffix [i:]: unmapped pair scores plus
-    # every gold edge/attribute touching an unmapped node.
+    # Optimistic remaining gain from suffix [i:]: its best pair scores plus
+    # every edge group whose later endpoint in this order lies in it (a
+    # group with both endpoints in the prefix is already in ``current``).
+    position = {g: i for i, g in enumerate(gold_ids)}
+    closing = [0] * len(gold_ids)
+    for src, tgt, weight in problem.groups:
+        closing[max(position[src], position[tgt])] += weight
     suffix_bound = [0] * (len(gold_ids) + 1)
     for i in range(len(gold_ids) - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + best_pair[gold_ids[i]] + edge_weight[gold_ids[i]]
+        suffix_bound[i] = suffix_bound[i + 1] + best_pair[gold_ids[i]] + closing[i]
+    # Filtering this stable order by ``used`` gives the same order as
+    # sorting the unused candidates.
+    candidates = {g: sorted(problem.system_ids, key=lambda s: -pair[g][s]) for g in gold_ids}
 
     best_mapping: dict[int, int] = {}
-    best_score = _mapping_score(gold, system, best_mapping)
+    best_score = 0
 
-    def recurse(index: int, mapping: dict[int, int], used: set[int]):
+    def recurse(index: int, current: int, mapping: dict[int, int], used: set[int]):
         nonlocal best_mapping, best_score
-        current = _mapping_score(gold, system, mapping)
         if current + suffix_bound[index] <= best_score:
             return
         if index == len(gold_ids):
-            if current > best_score:
-                best_score = current
-                best_mapping = dict(mapping)
+            best_score = current
+            best_mapping = dict(mapping)
             return
         g = gold_ids[index]
-        candidates = sorted(
-            (s for s in system_ids if s not in used),
-            key=lambda s: -pair_scores[(g, s)],
-        )
-        for s in candidates:
+        for s in candidates[g]:
+            if s in used:
+                continue
+            gain = problem.local_score(mapping, {g: s})
             mapping[g] = s
             used.add(s)
-            recurse(index + 1, mapping, used)
+            recurse(index + 1, current + gain, mapping, used)
             del mapping[g]
             used.remove(s)
-        recurse(index + 1, mapping, used)
+        recurse(index + 1, current, mapping, used)
 
-    recurse(0, {}, set())
+    recurse(0, 0, {}, set())
     return best_mapping
 
 
-def _greedy_start(
-    gold_ids: list[int],
-    system_ids: list[int],
-    gold: _FacetIndex,
-    system: _FacetIndex,
-    rng: random.Random,
-) -> dict[int, int]:
-    order = list(gold_ids)
+def _greedy_start(problem: _Problem, rng: random.Random) -> tuple[dict[int, int], int]:
+    order = list(problem.gold_ids)
     rng.shuffle(order)
-    available = set(system_ids)
+    available = set(problem.system_ids)
     mapping: dict[int, int] = {}
+    score = 0
     for g in order:
         if not available:
             break
-        best_s = max(
-            sorted(available), key=lambda s: (_pair_score(gold, system, g, s), -s)
-        )
+        scores = problem.pair[g]
+        best_s = max(sorted(available), key=lambda s: (scores[s], -s))
+        score += problem.local_score(mapping, {g: best_s})
         mapping[g] = best_s
         available.remove(best_s)
-    return mapping
+    return mapping, score
 
 
-def _hill_climb(
-    gold_graph: MrpGraph,
-    gold: _FacetIndex,
-    system_graph: MrpGraph,
-    system: _FacetIndex,
-    restarts: int,
-    seed: int,
-) -> dict[int, int]:
-    gold_ids = [n.id for n in gold_graph.nodes]
-    system_ids = [n.id for n in system_graph.nodes]
+def _hill_climb(problem: _Problem, restarts: int, seed: int) -> dict[int, int]:
+    moves = problem.system_ids + [None]
     best_mapping: dict[int, int] = {}
-    best_score = _mapping_score(gold, system, best_mapping)
+    best_score = 0
     for restart in range(restarts):
         rng = random.Random(seed * 1_000_003 + restart)
-        mapping = _greedy_start(gold_ids, system_ids, gold, system, rng)
-        score = _mapping_score(gold, system, mapping)
+        mapping, score = _greedy_start(problem, rng)
+        owner = {s: g for g, s in mapping.items()}
         improved = True
         while improved:
             improved = False
-            for g in gold_ids:
+            for g in problem.gold_ids:
                 current_s = mapping.get(g)
-                for s in system_ids + [None]:
+                for s in moves:
                     if s == current_s:
                         continue
-                    trial = dict(mapping)
-                    if s is None:
-                        trial.pop(g, None)
-                    else:
-                        owner = next((k for k, v in trial.items() if v == s), None)
-                        if owner is not None:
-                            if current_s is None:
-                                del trial[owner]
+                    # Move g to s; whoever held s takes g's old image.
+                    changed = {g: s}
+                    displaced = owner.get(s)
+                    if displaced is not None:
+                        changed[displaced] = current_s
+                    gain = problem.local_score(mapping, changed) - problem.local_score(
+                        mapping, {node: mapping.get(node) for node in changed}
+                    )
+                    if gain > 0:
+                        for node in changed:
+                            owner.pop(mapping.get(node), None)
+                        for node, image in changed.items():
+                            if image is None:
+                                del mapping[node]
                             else:
-                                trial[owner] = current_s
-                        trial[g] = s
-                    trial_score = _mapping_score(gold, system, trial)
-                    if trial_score > score:
-                        mapping, score = trial, trial_score
+                                mapping[node] = image
+                                owner[image] = node
+                        score += gain
                         improved = True
                         break
                 if improved:
@@ -421,11 +518,12 @@ def mces_align(
     """
     gold_index = _FacetIndex.build(gold)
     system_index = _FacetIndex.build(system)
+    problem = _Problem.build(gold, gold_index, system, system_index)
     exact = max(len(gold.nodes), len(system.nodes)) <= node_limit
     if exact:
-        mapping = _exact_search(gold, gold_index, system, system_index)
+        mapping = _exact_search(problem)
     else:
-        mapping = _hill_climb(gold, gold_index, system, system_index, restarts, seed)
+        mapping = _hill_climb(problem, restarts, seed)
     return McesAlignment(
         mapping=mapping,
         matched_items=_mapping_score(gold_index, system_index, mapping),

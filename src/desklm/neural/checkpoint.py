@@ -60,6 +60,8 @@ def load_checkpoint(stream: IO[bytes]) -> tuple[dict, dict[str, np.ndarray]]:
         shape = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim))
         size = int(np.prod(shape)) if shape else 1
         values = np.frombuffer(_read_exact(stream, 4 * size), dtype="<f4").reshape(shape)
+        if name in params:
+            raise ValueError(f"duplicate parameter {name!r} in checkpoint")
         params[name] = values.copy()
     return config, params
 

@@ -14,10 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..batching import IGNORE_INDEX
 from .tensor import Tensor, concat, log_softmax, softmax
-
-#: Loss-exempt marker in target matrices (same value as batching.IGNORE_INDEX).
-IGNORE_INDEX = -100
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ..batching import Sample, build_mlm_batch
+from ..batching import IGNORE_INDEX, Sample, build_mlm_batch
 from ..bbpe import ByteVocab
 from .checkpoint import format_log_line
 from .layers import TransformerConfig, forward_transformer, mlm_logits, mlm_loss
@@ -94,7 +94,7 @@ def eval_masked_accuracy(
         )
         logits = mlm_logits(model_config, params, hidden[-1])
         predictions = np.argmax(logits.data, axis=-1)
-        targeted = batch.target_ids != -100
+        targeted = batch.target_ids != IGNORE_INDEX
         correct += int((predictions[targeted] == batch.target_ids[targeted]).sum())
         total += int(targeted.sum())
     return correct / total if total else 0.0

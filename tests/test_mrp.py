@@ -14,6 +14,7 @@ from desklm.metrics.mrp import (
     MrpNode,
     _FacetIndex,
     _mapping_score,
+    _Problem,
     mces_align,
     mrp_score,
     mrp_score_corpus,
@@ -70,6 +71,34 @@ def _random_graph(rng: random.Random, graph_id: str, max_nodes: int = 5) -> MrpG
     return MrpGraph(id=graph_id, nodes=tuple(nodes), edges=tuple(edges), tops=tops)
 
 
+def _dense_graph(rng: random.Random, graph_id: str, n: int) -> MrpGraph:
+    """Exactly ``n`` nodes with scattered ids, duplicate edges, self-loops,
+    repeated properties and attributes, and tops."""
+    ids = rng.sample(range(4 * n), n)
+    properties = [("pos", "NN"), ("pos", "VB"), ("frame", "x1")]
+    nodes = tuple(
+        MrpNode(
+            id=i,
+            label=rng.choice(["want", "go", "dog", None]),
+            properties=tuple(rng.choice(properties) for _ in range(rng.randint(0, 3))),
+            anchors=((0, rng.randint(1, 3)),) if rng.random() < 0.5 else (),
+        )
+        for i in ids
+    )
+    edges = []
+    for _ in range(rng.randint(n, 2 * n)):
+        src = rng.choice(ids)
+        tgt = src if rng.random() < 0.15 else rng.choice(ids)
+        attributes = tuple(
+            rng.choice([("remote", "true"), ("remote", "false")])
+            for _ in range(rng.randint(0, 2))
+        )
+        edge = MrpEdge(src, tgt, rng.choice(["ARG1", "ARG2", None]), attributes)
+        edges.extend([edge] * rng.choice([1, 1, 1, 2]))
+    tops = frozenset(rng.sample(ids, rng.randint(0, min(2, n))))
+    return MrpGraph(id=graph_id, nodes=nodes, edges=tuple(edges), tops=tops)
+
+
 def _triangle(graph_id="g") -> MrpGraph:
     nodes = (
         MrpNode(0, label="want", properties=(("pos", "VB"),), anchors=((0, 4),)),
@@ -98,6 +127,31 @@ class TestGraphModel:
         loaded = read_mrp_jsonl(text)
         assert loaded == graphs
         assert write_mrp_jsonl(loaded) == text
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"nodes": [{"label": "a"}]}', "line 2: missing field 'id'"),
+            ('{"nodes": [{"id": 0}], "edges": [{"source": 0}]}', "line 2: missing field 'target'"),
+            ('{"nodes": [{"id": 0, "anchors": [{"to": 1}]}]}', "line 2: missing field 'from'"),
+            ('{"nodes": [{"id": "zero"}]}', "line 2: malformed value"),
+            ('{"nodes": [{"id": 1.5}]}', "line 2: malformed value: expected an integer, got 1.5"),
+            ('{"nodes": [{"id": 0}], "edges": [{"source": 0, "target": true}]}',
+             "line 2: malformed value: expected an integer, got True"),
+            ('{"nodes": [{"id": 0, "anchors": [{"from": 0, "to": null}]}]}', "line 2: malformed value"),
+            ('{"nodes": [{"id": 0}], "tops": [[0]]}', "line 2: malformed value"),
+            ('[{"id": 0}]', "line 2: expected a JSON object"),
+            ('{"id": "x", "nodes": [{"id": 0}, {"id": 0}]}', "line 2: graph x: duplicate node ids"),
+            ('{"id": "x", "nodes": [{"id": 0}], "edges": [{"source": 0, "target": 1}]}',
+             "line 2: graph x: edge 0->1 references unknown node"),
+            ('{"id": "x", "input": "ab", "nodes": [{"id": 0, "anchors": [{"from": 0, "to": 5}]}]}',
+             r"line 2: graph x: anchor \(0,5\) outside input"),
+        ],
+    )
+    def test_jsonl_errors_name_the_line(self, line, message):
+        text = '{"id": "ok", "nodes": [{"id": 0}]}\n' + line + "\n"
+        with pytest.raises(MrpError, match=message):
+            read_mrp_jsonl(text)
 
     def test_jsonl_field_names(self):
         parsed = read_mrp_jsonl(
@@ -182,6 +236,72 @@ class TestMcesAlign:
         a = mces_align(gold, system, node_limit=0, seed=5)
         b = mces_align(gold, system, node_limit=0, seed=5)
         assert a == b
+
+
+class TestIncrementalScore:
+    def test_local_score_matches_full_rescoring(self):
+        rng = random.Random(29)
+        for trial in range(200):
+            gold = _dense_graph(rng, f"g{trial}", rng.randint(1, 7))
+            system = _dense_graph(rng, f"s{trial}", rng.randint(1, 7))
+            gold_index, system_index = _FacetIndex.build(gold), _FacetIndex.build(system)
+            problem = _Problem.build(gold, gold_index, system, system_index)
+            # A random partial injective mapping, built one node at a time.
+            mapping, score = {}, 0
+            images = rng.sample(problem.system_ids, len(problem.system_ids))
+            for g in rng.sample(problem.gold_ids, len(problem.gold_ids)):
+                if images and rng.random() < 0.7:
+                    s = images.pop()
+                    score += problem.local_score(mapping, {g: s})
+                    mapping[g] = s
+                    assert score == _mapping_score(gold_index, system_index, mapping), trial
+            # Random moves: to a free image, to an image another node holds
+            # (which takes g's old image), or to no image.
+            for _ in range(20):
+                g = rng.choice(problem.gold_ids)
+                s = rng.choice(problem.system_ids + [None])
+                if s == mapping.get(g):
+                    continue
+                changed = {g: s}
+                holder = next((k for k, v in mapping.items() if v == s), None)
+                if holder is not None:
+                    changed[holder] = mapping.get(g)
+                gain = problem.local_score(mapping, changed) - problem.local_score(
+                    mapping, {node: mapping.get(node) for node in changed}
+                )
+                mapping = {
+                    node: image
+                    for node, image in {**mapping, **changed}.items()
+                    if image is not None
+                }
+                score += gain
+                assert score == _mapping_score(gold_index, system_index, mapping), trial
+
+
+class TestGoldenMappings:
+    """Mappings recorded from the search that re-scored the whole mapping
+    with ``_mapping_score`` at every node and trial move."""
+
+    def test_exact_independent_nine_node_pair(self):
+        rng = random.Random(0)
+        gold = _dense_graph(rng, "g", 9)
+        system = _dense_graph(rng, "s", 9)
+        assert mces_align(gold, system) == McesAlignment(
+            mapping={34: 22, 25: 23, 24: 1, 26: 6, 31: 5, 16: 3, 12: 35, 2: 7, 29: 2},
+            matched_items=18,
+            exact=True,
+        )
+
+    def test_seeded_hill_climb(self):
+        rng = random.Random(21)
+        gold = _dense_graph(rng, "g", 12)
+        system = _dense_graph(rng, "s", 11)
+        assert mces_align(gold, system, node_limit=0, seed=3) == McesAlignment(
+            mapping={41: 26, 38: 9, 26: 40, 30: 1, 11: 16, 44: 8, 10: 37, 13: 6, 18: 11,
+                     32: 41, 46: 25},
+            matched_items=22,
+            exact=False,
+        )
 
 
 class TestMrpScore:
