@@ -16,6 +16,8 @@ from typing import Any
 
 import yaml
 
+from .neural.schedule import KINDS as SCHEDULE_KINDS
+
 ENV_PREFIX = "DESKLM"
 
 
@@ -45,7 +47,6 @@ class ScheduleSettings:
     total_steps: int = 91_075
     end_lr: float = 0.0
     power: float = 1.0
-    frozen_prefix_steps: int = 2_000
     warmup_epochs: float = 4.0
     decay_epochs: float = 10.0
 
@@ -94,7 +95,6 @@ PROVENANCE = {
     "schedule.peak_lr": "recipe",
     "schedule.warmup_steps": "recipe",
     "schedule.total_steps": "recipe",
-    "schedule.frozen_prefix_steps": "recipe",
     "schedule.warmup_epochs": "recipe",
     "schedule.decay_epochs": "recipe",
     "pretrain.beta1": "recipe",
@@ -200,6 +200,10 @@ def validate_config(config: ExperimentConfig, require: tuple[str, ...] = ()) -> 
         violations.append(
             f"model.hidden ({config.model.hidden}) must be divisible by "
             f"model.heads ({config.model.heads})"
+        )
+    if config.schedule.kind not in SCHEDULE_KINDS:
+        violations.append(
+            f"schedule.kind must be one of {SCHEDULE_KINDS}, got {config.schedule.kind!r}"
         )
     if config.schedule.kind == "polynomial_decay" and (
         config.schedule.warmup_steps > config.schedule.total_steps

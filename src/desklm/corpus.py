@@ -90,7 +90,7 @@ class Sentence:
                 raise CorpusError(f"entity span ({start},{end},{label}) out of range")
         for a in self.entity_spans:
             for b in self.entity_spans:
-                if a is not b and _spans_cross(a, b):
+                if a is not b and spans_cross(a, b):
                     raise CorpusError(f"entity spans {a} and {b} cross")
 
     def __len__(self) -> int:
@@ -105,7 +105,8 @@ class Sentence:
         return " ".join(self.forms)
 
 
-def _spans_cross(a: EntitySpan, b: EntitySpan) -> bool:
+def spans_cross(a: EntitySpan, b: EntitySpan) -> bool:
+    """True when the spans overlap and neither contains the other."""
     (s1, e1, _), (s2, e2, _) = a, b
     overlap = s1 <= e2 and s2 <= e1
     nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)

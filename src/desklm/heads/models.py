@@ -1,11 +1,15 @@
 """Trainable task models over sentence inputs.
 
-Every model reads per-token input vectors built from three streams: an
-end-to-end word embedding, a character-level BiGRU embedding, and
-optional frozen contextual vectors appended as-is.  A shared trunk of
-three stacked bidirectional GRU layers feeds task heads: softmax taggers
-(POS + lemma category), a biaffine parser trained jointly with the
-taggers, and CRF or stack-string classifiers for NER.
+One :class:`SequenceEncoder` turns a sentence into contextual states: it
+builds the word and character vocabularies, embeds each token from three
+streams (an end-to-end word embedding, a character-level BiGRU embedding
+and optional frozen contextual vectors appended as-is), and runs three
+stacked bidirectional GRU layers.  Every task model owns one encoder and
+adds its heads over the states: softmax taggers (POS + lemma category),
+a biaffine parser trained jointly with the taggers, and CRF or
+stack-string classifiers for NER.  Each model exposes ``sentences``,
+``params`` and ``loss(sentence)``, and :func:`train` is the one training
+loop for all of them.
 """
 
 from __future__ import annotations
@@ -16,10 +20,29 @@ from typing import Sequence
 import numpy as np
 
 from ..corpus import Sentence
-from ..neural.layers import init_birnn_params, birnn_layer, uniform_param, zeros_param
+from ..neural.layers import init_birnn_params, birnn_layer, mlm_loss, uniform_param, zeros_param
 from ..neural.optim import AdamConfig, AdamState, adam_step, collect_grads, zero_grads
-from ..neural.tensor import Tensor, concat, log_softmax
-from .lemma import EditScriptError, LemmaCategoryInventory, apply_edit_script, derive_edit_script
+from ..neural.tensor import Tensor, concat
+from .lemma import (
+    EditScriptError,
+    LemmaCategoryInventory,
+    apply_edit_script,
+    build_lemma_inventory,
+    derive_edit_script,
+)
+from .ner import (
+    bio_constraint_penalties,
+    bio_label_set,
+    bio_to_spans,
+    crf_decode,
+    crf_loss,
+    decode_nested,
+    encode_nested,
+    parse_stack,
+    render_stack,
+    spans_to_bio,
+    validate_bio,
+)
 from .parser import biaffine_scores, decode_tree, init_biaffine_params
 
 UNK = "<unk>"
@@ -79,6 +102,14 @@ class TokenFeaturizer:
     def featurize(
         self, forms: Sequence[str], contextual: np.ndarray | None = None
     ) -> Tensor:
+        """(len(forms), output_dim) inputs; ``contextual`` must be
+        (len(forms), contextual_dim) and is cast to the parameter dtype."""
+        dtype = self.params["word_emb"].data.dtype
+        expected = (len(forms), self.config.contextual_dim)
+        if contextual is not None and np.shape(contextual) != expected:
+            raise ValueError(
+                f"contextual features must have shape {expected}, got {np.shape(contextual)}"
+            )
         word_ids = np.array(
             [self.word_vocab.get(form, 0) for form in forms], dtype=np.int64
         )
@@ -102,51 +133,68 @@ class TokenFeaturizer:
         features = concat([word_vectors, concat(char_vectors, axis=0)], axis=1)
         if self.config.contextual_dim:
             if contextual is None:
-                contextual = np.zeros(
-                    (len(forms), self.config.contextual_dim),
-                    dtype=self.params["word_emb"].data.dtype,
-                )
-            features = concat([features, Tensor(np.asarray(contextual))], axis=1)
+                contextual = np.zeros(expected, dtype=dtype)
+            features = concat([features, Tensor(np.asarray(contextual, dtype=dtype))], axis=1)
         return features
 
 
-def init_trunk_params(input_dim: int, hidden: int, seed: int, dtype=np.float32) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    dim = input_dim
-    for layer in range(TRUNK_LAYERS):
-        for key, value in init_birnn_params(dim, hidden, seed=seed + layer, dtype=dtype).items():
-            params[f"rnn{layer}.{key}"] = value
-        dim = 2 * hidden
-    return params
+class SequenceEncoder:
+    """Vocabularies, token featurizer and the three-layer BiGRU trunk
+    shared by every task model; ``encode`` maps a sentence to (n, 2 *
+    hidden) states."""
 
+    def __init__(
+        self,
+        sentences: Sequence[Sentence],
+        hidden: int,
+        featurizer_config: FeaturizerConfig | None,
+        seed: int,
+        dtype,
+    ):
+        forms = [t.form for s in sentences for t in s.tokens]
+        chars = [c for f in forms for c in f]
+        self.featurizer = TokenFeaturizer(
+            build_vocab(forms),
+            build_vocab(chars),
+            featurizer_config or FeaturizerConfig(),
+            seed=seed,
+            dtype=dtype,
+        )
+        self.dtype = dtype
+        self.output_dim = 2 * hidden
+        self.params: dict[str, Tensor] = dict(self.featurizer.params)
+        dim = self.featurizer.config.output_dim
+        for layer in range(TRUNK_LAYERS):
+            for key, value in init_birnn_params(
+                dim, hidden, seed=seed + 200 + layer, dtype=dtype
+            ).items():
+                self.params[f"rnn{layer}.{key}"] = value
+            dim = self.output_dim
 
-def run_trunk(features: Tensor, params: dict[str, Tensor]) -> Tensor:
-    states = features
-    for layer in range(TRUNK_LAYERS):
-        layer_params = {
-            key[len(f"rnn{layer}."):]: value
-            for key, value in params.items()
-            if key.startswith(f"rnn{layer}.")
+    def encode(self, sentence: Sentence, contextual: np.ndarray | None = None) -> Tensor:
+        states = self.featurizer.featurize(sentence.forms, contextual)
+        for layer in range(TRUNK_LAYERS):
+            prefix = f"rnn{layer}."
+            layer_params = {
+                key[len(prefix):]: value
+                for key, value in self.params.items()
+                if key.startswith(prefix)
+            }
+            states = birnn_layer(states, layer_params)
+        return states
+
+    def linear_head(self, rng: np.random.Generator, name: str, size: int) -> dict[str, Tensor]:
+        """``name.w`` and ``name.b`` of a linear map from the states to
+        ``size`` outputs."""
+        dim = self.output_dim
+        return {
+            f"{name}.w": uniform_param(rng, (dim, size), dim, self.dtype),
+            f"{name}.b": zeros_param((size,), self.dtype),
         }
-        states = birnn_layer(states, layer_params)
-    return states
 
 
-def tagger_forward(
-    token_embeddings: Tensor, params: dict[str, Tensor]
-) -> tuple[Tensor, Tensor]:
-    """Trunk of three BiGRU layers, then two independent softmax heads;
-    returns (tag logits, lemma-category logits)."""
-    states = run_trunk(token_embeddings, params)
-    tag_logits = states @ params["tag.w"] + params["tag.b"]
-    lemma_logits = states @ params["lemma.w"] + params["lemma.b"]
-    return tag_logits, lemma_logits
-
-
-def _cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(len(targets)), np.asarray(targets, dtype=np.int64)]
-    return -picked.mean()
+def _linear(states: Tensor, params: dict[str, Tensor], name: str) -> Tensor:
+    return states @ params[f"{name}.w"] + params[f"{name}.b"]
 
 
 @dataclass
@@ -159,8 +207,6 @@ class TaggerData:
 
     @classmethod
     def from_sentences(cls, sentences: Sequence[Sentence]) -> "TaggerData":
-        from .lemma import build_lemma_inventory
-
         tags = sorted(
             {token.upos or "_" for sentence in sentences for token in sentence.tokens}
         )
@@ -188,7 +234,7 @@ class TaggerData:
 
 
 class TaggerModel:
-    """Joint POS + lemma-category classifier over the BiGRU trunk."""
+    """Joint POS + lemma-category classifier over the sequence encoder."""
 
     def __init__(
         self,
@@ -199,39 +245,30 @@ class TaggerModel:
         dtype=np.float32,
     ):
         self.data = data
-        forms = [t.form for s in data.sentences for t in s.tokens]
-        chars = [c for f in forms for c in f]
-        self.featurizer = TokenFeaturizer(
-            build_vocab(forms),
-            build_vocab(chars),
-            featurizer_config or FeaturizerConfig(),
-            seed=seed,
-            dtype=dtype,
-        )
+        self.sentences = data.sentences
+        self.encoder = SequenceEncoder(data.sentences, hidden, featurizer_config, seed, dtype)
+        self.params: dict[str, Tensor] = dict(self.encoder.params)
         rng = np.random.Generator(np.random.PCG64(seed + 100))
-        trunk_in = self.featurizer.config.output_dim
-        self.params: dict[str, Tensor] = dict(self.featurizer.params)
-        self.params.update(init_trunk_params(trunk_in, hidden, seed + 200, dtype))
-        repr_dim = 2 * hidden
-        self.params["tag.w"] = uniform_param(rng, (repr_dim, len(data.tagset)), repr_dim, dtype)
-        self.params["tag.b"] = zeros_param((len(data.tagset),), dtype)
-        self.params["lemma.w"] = uniform_param(
-            rng, (repr_dim, len(data.inventory)), repr_dim, dtype
-        )
-        self.params["lemma.b"] = zeros_param((len(data.inventory),), dtype)
+        self.params.update(self.encoder.linear_head(rng, "tag", len(data.tagset)))
+        self.params.update(self.encoder.linear_head(rng, "lemma", len(data.inventory)))
 
-    def forward(self, sentence: Sentence, contextual=None) -> tuple[Tensor, Tensor]:
-        features = self.featurizer.featurize(sentence.forms, contextual)
-        return tagger_forward(features, self.params)
+    def head_losses(self, states: Tensor, sentence: Sentence) -> tuple[Tensor, Tensor]:
+        """(tag loss, lemma-category loss) of the encoded ``sentence``."""
+        return (
+            mlm_loss(_linear(states, self.params, "tag"), self.data.tag_ids(sentence)),
+            mlm_loss(_linear(states, self.params, "lemma"), self.data.lemma_ids(sentence)),
+        )
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        tag_logits, lemma_logits = self.forward(sentence, contextual)
-        return _cross_entropy(tag_logits, self.data.tag_ids(sentence)) + _cross_entropy(
-            lemma_logits, self.data.lemma_ids(sentence)
+        tag_loss, lemma_loss = self.head_losses(
+            self.encoder.encode(sentence, contextual), sentence
         )
+        return tag_loss + lemma_loss
 
     def predict(self, sentence: Sentence, contextual=None) -> tuple[list[str], list[str]]:
-        tag_logits, lemma_logits = self.forward(sentence, contextual)
+        states = self.encoder.encode(sentence, contextual)
+        tag_logits = _linear(states, self.params, "tag")
+        lemma_logits = _linear(states, self.params, "lemma")
         id_to_tag = {i: t for t, i in self.data.tagset.items()}
         tags = [id_to_tag[int(i)] for i in np.argmax(tag_logits.data, axis=-1)]
         lemmas = []
@@ -244,20 +281,20 @@ class TaggerModel:
         return tags, lemmas
 
 
-def train_tagger(
-    model: TaggerModel,
+def train(
+    model,
     steps: int = 300,
     lr: float = 5e-3,
     seed: int = 0,
     adam_config: AdamConfig = AdamConfig(),
 ) -> list[float]:
-    """Single-sentence Adam steps cycling the training data; returns losses."""
+    """Single-sentence Adam steps on sentences drawn uniformly from
+    ``model.sentences``; returns the per-step losses."""
     state = AdamState()
     rng = np.random.Generator(np.random.PCG64(seed))
-    sentences = model.data.sentences
     losses = []
     for _ in range(steps):
-        sentence = sentences[int(rng.integers(0, len(sentences)))]
+        sentence = model.sentences[int(rng.integers(0, len(model.sentences)))]
         zero_grads(model.params)
         loss = model.loss(sentence)
         loss.backward()
@@ -279,8 +316,8 @@ def tagger_accuracy(model: TaggerModel, sentences: Sequence[Sentence]) -> tuple[
 
 
 class JointParserModel:
-    """Biaffine parser sharing the trunk with the tagger heads; losses are
-    summed with equal weights."""
+    """Biaffine parser sharing the encoder with the tagger heads; losses
+    are summed with equal weights."""
 
     def __init__(
         self,
@@ -295,32 +332,28 @@ class JointParserModel:
         self.tagger = TaggerModel(
             data, hidden=hidden, featurizer_config=featurizer_config, seed=seed, dtype=dtype
         )
+        self.sentences = data.sentences
         self.relations = relations
-        self.params = self.tagger.params
+        self.params = dict(self.tagger.params)
         rng = np.random.Generator(np.random.PCG64(seed + 300))
         repr_dim = 2 * hidden
         self.params["head_proj"] = uniform_param(rng, (repr_dim, arc_dim), repr_dim, dtype)
         self.params["dep_proj"] = uniform_param(rng, (repr_dim, arc_dim), repr_dim, dtype)
         self.params["root_vec"] = uniform_param(rng, (1, arc_dim), arc_dim, dtype)
-        for key, value in init_biaffine_params(
-            arc_dim, len(relations), seed=seed + 400, dtype=dtype
-        ).items():
-            self.params[key] = value
+        self.params.update(
+            init_biaffine_params(arc_dim, len(relations), seed=seed + 400, dtype=dtype)
+        )
 
-    def score(self, sentence: Sentence, contextual=None):
-        features = self.tagger.featurizer.featurize(sentence.forms, contextual)
-        states = run_trunk(features, self.params)
+    def _arc_scores(self, states: Tensor):
         heads = concat(
             [self.params["root_vec"], states @ self.params["head_proj"]], axis=0
         )
         dependents = states @ self.params["dep_proj"]
-        scores = biaffine_scores(heads, dependents, self.params)
-        tag_logits = states @ self.params["tag.w"] + self.params["tag.b"]
-        lemma_logits = states @ self.params["lemma.w"] + self.params["lemma.b"]
-        return scores, tag_logits, lemma_logits
+        return biaffine_scores(heads, dependents, self.params)
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        scores, tag_logits, lemma_logits = self.score(sentence, contextual)
+        states = self.tagger.encoder.encode(sentence, contextual)
+        scores = self._arc_scores(states)
         gold_heads = [token.head for token in sentence.tokens]
         if any(h is None for h in gold_heads):
             raise ValueError("parser training requires annotated heads")
@@ -328,43 +361,17 @@ class JointParserModel:
             self.relations[token.deprel or "_"] for token in sentence.tokens
         ]
         n = len(sentence.tokens)
-        arc_loss = _cross_entropy(scores.arc.transpose(1, 0), gold_heads)
+        arc_loss = mlm_loss(scores.arc.transpose(1, 0), gold_heads)
         label_rows = scores.label[np.asarray(gold_heads), np.arange(n)]
-        label_loss = _cross_entropy(label_rows, gold_relations)
-        data = self.tagger.data
-        return (
-            arc_loss
-            + label_loss
-            + _cross_entropy(tag_logits, data.tag_ids(sentence))
-            + _cross_entropy(lemma_logits, data.lemma_ids(sentence))
-        )
+        label_loss = mlm_loss(label_rows, gold_relations)
+        tag_loss, lemma_loss = self.tagger.head_losses(states, sentence)
+        return arc_loss + label_loss + tag_loss + lemma_loss
 
     def predict(self, sentence: Sentence, contextual=None) -> tuple[list[int], list[str]]:
-        scores, _, _ = self.score(sentence, contextual)
+        scores = self._arc_scores(self.tagger.encoder.encode(sentence, contextual))
         heads, label_ids = decode_tree(scores)
         id_to_relation = {i: r for r, i in self.relations.items()}
         return heads, [id_to_relation[i] for i in label_ids]
-
-
-def train_parser(
-    model: JointParserModel,
-    steps: int = 400,
-    lr: float = 5e-3,
-    seed: int = 0,
-    adam_config: AdamConfig = AdamConfig(),
-) -> list[float]:
-    state = AdamState()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    sentences = model.tagger.data.sentences
-    losses = []
-    for _ in range(steps):
-        sentence = sentences[int(rng.integers(0, len(sentences)))]
-        zero_grads(model.params)
-        loss = model.loss(sentence)
-        loss.backward()
-        adam_step(model.params, collect_grads(model.params), state, adam_config, lr)
-        losses.append(float(loss.data))
-    return losses
 
 
 def parser_attachment_scores(
@@ -384,7 +391,7 @@ def parser_attachment_scores(
 
 
 class FlatNerModel:
-    """BiGRU trunk with a linear-chain CRF over BIO tags."""
+    """Sequence encoder with a linear-chain CRF over BIO tags."""
 
     def __init__(
         self,
@@ -394,8 +401,6 @@ class FlatNerModel:
         seed: int = 0,
         dtype=np.float32,
     ):
-        from .ner import bio_constraint_penalties, bio_label_set
-
         self.sentences = list(sentences)
         entity_types = [
             span[2] for sentence in sentences for span in sentence.entity_spans
@@ -406,32 +411,18 @@ class FlatNerModel:
         self.transition_penalty = Tensor(transition_penalty.astype(dtype))
         self.start_penalty = Tensor(start_penalty.astype(dtype))
 
-        forms = [t.form for s in sentences for t in s.tokens]
-        chars = [c for f in forms for c in f]
-        self.featurizer = TokenFeaturizer(
-            build_vocab(forms), build_vocab(chars),
-            featurizer_config or FeaturizerConfig(), seed=seed, dtype=dtype,
-        )
-        self.params: dict[str, Tensor] = dict(self.featurizer.params)
-        self.params.update(
-            init_trunk_params(self.featurizer.config.output_dim, hidden, seed + 200, dtype)
-        )
+        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, seed, dtype)
+        self.params: dict[str, Tensor] = dict(self.encoder.params)
         rng = np.random.Generator(np.random.PCG64(seed + 500))
-        repr_dim = 2 * hidden
         count = len(self.labels)
-        self.params["emit.w"] = uniform_param(rng, (repr_dim, count), repr_dim, dtype)
-        self.params["emit.b"] = zeros_param((count,), dtype)
+        self.params.update(self.encoder.linear_head(rng, "emit", count))
         self.params["crf.transitions"] = zeros_param((count, count), dtype)
         self.params["crf.start"] = zeros_param((count,), dtype)
 
     def _emissions(self, sentence: Sentence, contextual=None) -> Tensor:
-        features = self.featurizer.featurize(sentence.forms, contextual)
-        states = run_trunk(features, self.params)
-        return states @ self.params["emit.w"] + self.params["emit.b"]
+        return _linear(self.encoder.encode(sentence, contextual), self.params, "emit")
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        from .ner import crf_loss, spans_to_bio, validate_bio
-
         tags = spans_to_bio(sentence.entity_spans, len(sentence.tokens))
         validate_bio(tags)
         tag_ids = [self.label_ids[t] for t in tags]
@@ -443,8 +434,6 @@ class FlatNerModel:
         )
 
     def predict(self, sentence: Sentence, contextual=None):
-        from .ner import bio_to_spans, crf_decode
-
         emissions = self._emissions(sentence, contextual)
         path = crf_decode(
             emissions.data,
@@ -465,8 +454,6 @@ class NestedNerModel:
         seed: int = 0,
         dtype=np.float32,
     ):
-        from .ner import encode_nested, render_stack
-
         self.sentences = list(sentences)
         stack_strings = ["O"]
         for sentence in sentences:
@@ -477,61 +464,23 @@ class NestedNerModel:
         self.stack_vocab = {s: i for i, s in enumerate(stack_strings)}
         self.stack_strings = stack_strings
 
-        forms = [t.form for s in sentences for t in s.tokens]
-        chars = [c for f in forms for c in f]
-        self.featurizer = TokenFeaturizer(
-            build_vocab(forms), build_vocab(chars),
-            featurizer_config or FeaturizerConfig(), seed=seed, dtype=dtype,
-        )
-        self.params: dict[str, Tensor] = dict(self.featurizer.params)
-        self.params.update(
-            init_trunk_params(self.featurizer.config.output_dim, hidden, seed + 200, dtype)
-        )
+        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, seed, dtype)
+        self.params: dict[str, Tensor] = dict(self.encoder.params)
         rng = np.random.Generator(np.random.PCG64(seed + 600))
-        repr_dim = 2 * hidden
-        self.params["stack.w"] = uniform_param(
-            rng, (repr_dim, len(stack_strings)), repr_dim, dtype
-        )
-        self.params["stack.b"] = zeros_param((len(stack_strings),), dtype)
+        self.params.update(self.encoder.linear_head(rng, "stack", len(stack_strings)))
 
     def _logits(self, sentence: Sentence, contextual=None) -> Tensor:
-        features = self.featurizer.featurize(sentence.forms, contextual)
-        states = run_trunk(features, self.params)
-        return states @ self.params["stack.w"] + self.params["stack.b"]
+        return _linear(self.encoder.encode(sentence, contextual), self.params, "stack")
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        from .ner import encode_nested, render_stack
-
         stacks = encode_nested(sentence.entity_spans, len(sentence.tokens))
         targets = [self.stack_vocab[render_stack(s)] for s in stacks]
-        return _cross_entropy(self._logits(sentence, contextual), targets)
+        return mlm_loss(self._logits(sentence, contextual), targets)
 
     def predict(self, sentence: Sentence, contextual=None):
-        from .ner import decode_nested, parse_stack
-
         logits = self._logits(sentence, contextual)
         stacks = [
             parse_stack(self.stack_strings[int(i)])
             for i in np.argmax(logits.data, axis=-1)
         ]
         return decode_nested(stacks)
-
-
-def train_ner(
-    model: FlatNerModel | NestedNerModel,
-    steps: int = 400,
-    lr: float = 5e-3,
-    seed: int = 0,
-    adam_config: AdamConfig = AdamConfig(),
-) -> list[float]:
-    state = AdamState()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    losses = []
-    for _ in range(steps):
-        sentence = model.sentences[int(rng.integers(0, len(model.sentences)))]
-        zero_grads(model.params)
-        loss = model.loss(sentence)
-        loss.backward()
-        adam_step(model.params, collect_grads(model.params), state, adam_config, lr)
-        losses.append(float(loss.data))
-    return losses

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import EntitySpan
+from ..corpus import EntitySpan, spans_cross
 from ..neural.tensor import Tensor, logsumexp
 
 #: Finite stand-in for forbidden transitions; -inf would poison gradients.
@@ -164,24 +164,16 @@ def bio_to_spans(tags: Sequence[str]) -> list[EntitySpan]:
 NestedLabelSequence = list[tuple[str, ...]]
 
 
-def _check_well_nested(spans: Sequence[EntitySpan]) -> None:
-    items = list(spans)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            (s1, e1, _), (s2, e2, _) = items[a], items[b]
-            overlap = s1 <= e2 and s2 <= e1
-            nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
-            if overlap and not nested:
-                raise ValueError(f"spans {items[a]} and {items[b]} cross")
-
-
 def encode_nested(spans: Sequence[EntitySpan], length: int) -> NestedLabelSequence:
     """Per token, the BIO tags of all covering entities, outermost first."""
     unique = sorted(set(spans), key=lambda s: (s[0], -s[1], s[2]))
     for start, end, label in unique:
         if not (1 <= start <= end <= length):
             raise ValueError(f"span ({start},{end},{label}) out of range")
-    _check_well_nested(unique)
+    for i, a in enumerate(unique):
+        for b in unique[i + 1 :]:
+            if spans_cross(a, b):
+                raise ValueError(f"spans {a} and {b} cross")
     stacks: NestedLabelSequence = []
     for token in range(1, length + 1):
         covering = [s for s in unique if s[0] <= token <= s[1]]

@@ -19,14 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..batching import IGNORE_INDEX
 from ..bbpe import ByteVocab, encode
 from ..corpus import kfold_split
 from ..metrics.aggregate import aggregate_folds, macro_f1
-from ..neural.layers import TransformerConfig, forward_transformer
+from ..neural.layers import TransformerConfig, forward_transformer, mlm_loss
 from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
 from ..neural.schedule import schedule_lr, sentiment_schedule
-from ..neural.tensor import Tensor, log_softmax
+from ..neural.tensor import Tensor
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_ALIASES = {"n": "negative", "0": "neutral", "p": "positive"}
@@ -113,10 +112,7 @@ def _document_embeddings(
 
 
 def _classifier_loss(embeddings: Tensor, params: dict[str, Tensor], targets: np.ndarray) -> Tensor:
-    logits = embeddings @ params["cls.w"] + params["cls.b"]
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(len(targets)), targets]
-    return -picked.mean()
+    return mlm_loss(embeddings @ params["cls.w"] + params["cls.b"], targets)
 
 
 def _predict(

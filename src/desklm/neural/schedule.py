@@ -1,13 +1,12 @@
-"""Learning-rate schedules: polynomial decay with linear warmup,
-inverse square root with a frozen prefix, and cosine warmup/decay
-parameterized by epoch fraction."""
+"""Learning-rate schedules: polynomial decay with linear warmup, and
+cosine warmup/decay parameterized by epoch fraction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-KINDS = ("polynomial_decay", "inverse_sqrt", "cosine_warmup_decay")
+KINDS = ("polynomial_decay", "cosine_warmup_decay")
 
 
 @dataclass(frozen=True)
@@ -18,7 +17,6 @@ class ScheduleConfig:
     total_steps: int = 0
     end_lr: float = 0.0
     power: float = 1.0
-    frozen_prefix_steps: int = 0
     warmup_epochs: float = 4.0
     decay_epochs: float = 10.0
 
@@ -40,18 +38,6 @@ def pretraining_schedule(
         peak_lr=peak_lr,
         warmup_steps=warmup_steps,
         total_steps=total_steps,
-    )
-
-
-def semantic_schedule(
-    peak_lr: float = 6e-5, warmup_steps: int = 6_000, frozen_prefix_steps: int = 2_000
-) -> ScheduleConfig:
-    """Fine-tuning recipe: inverse square root after a frozen prefix."""
-    return ScheduleConfig(
-        kind="inverse_sqrt",
-        peak_lr=peak_lr,
-        warmup_steps=warmup_steps,
-        frozen_prefix_steps=frozen_prefix_steps,
     )
 
 
@@ -79,14 +65,6 @@ def schedule_lr(config: ScheduleConfig, step: float) -> float:
             return config.end_lr
         remaining = (config.total_steps - step) / (config.total_steps - config.warmup_steps)
         return (config.peak_lr - config.end_lr) * remaining**config.power + config.end_lr
-
-    if config.kind == "inverse_sqrt":
-        if step < config.frozen_prefix_steps:
-            return 0.0
-        active = step - config.frozen_prefix_steps
-        if config.warmup_steps > 0 and active <= config.warmup_steps:
-            return config.peak_lr * active / config.warmup_steps
-        return config.peak_lr * math.sqrt(config.warmup_steps / active)
 
     # cosine_warmup_decay, by epoch fraction
     epoch = step

@@ -1,0 +1,36 @@
+"""Every desklm module imports cleanly on its own, in a fresh module table."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import desklm
+
+# One interpreter for all modules: dropping every desklm* entry from
+# sys.modules before each import makes each one a first import, which is
+# what exposes an import cycle, at a fraction of one interpreter per module.
+SCRIPT = """
+import importlib, pkgutil, sys
+import desklm
+names = [m.name for m in pkgutil.walk_packages(desklm.__path__, "desklm.")]
+for name in names:
+    for key in [k for k in sys.modules if k == "desklm" or k.startswith("desklm.")]:
+        del sys.modules[key]
+    importlib.import_module(name)
+print(len(names))
+"""
+
+
+def test_each_module_imports_on_its_own():
+    source = str(Path(desklm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) >= 20

@@ -300,3 +300,46 @@ class TestGoldenTraining:
         sentence = TREEBANK[1]
         contextual = np.linspace(-1.0, 1.0, 2 * len(sentence)).reshape(len(sentence), 2)
         assert float(model.loss(sentence, contextual).data) == GOLDEN_CONTEXTUAL_LOSS
+
+
+class TestTrainLoop:
+    @pytest.mark.parametrize(
+        "make, golden",
+        [
+            (_tagger_model, GOLDEN_TAGGER_LOSSES),
+            (_parser_model, GOLDEN_PARSER_LOSSES),
+            (_flat_model, GOLDEN_FLAT_LOSSES),
+            (_nested_model, GOLDEN_NESTED_LOSSES),
+        ],
+    )
+    def test_train_reproduces_golden_losses(self, make, golden):
+        assert models.train(make(), steps=STEPS, lr=5e-2, seed=3) == golden
+
+
+class TestContextualFeatures:
+    def _featurizer(self, dtype=np.float64, contextual_dim=2):
+        config = FeaturizerConfig(
+            word_dim=4, char_dim=3, char_hidden=3, contextual_dim=contextual_dim
+        )
+        vocab = models.build_vocab(["Pes"])
+        return models.TokenFeaturizer(vocab, models.build_vocab("Pes"), config, dtype=dtype)
+
+    def test_float64_features_keep_float32_parameters(self):
+        featurizer = self._featurizer(np.float32)
+        features = featurizer.featurize(["Pes", "štěká"], np.ones((2, 2), dtype=np.float64))
+        assert features.data.dtype == np.float32
+
+    def test_row_count_mismatch_names_both_shapes(self):
+        featurizer = self._featurizer()
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(3, 2\)"):
+            featurizer.featurize(["Pes", "štěká"], np.zeros((3, 2)))
+
+    def test_width_mismatch_names_both_shapes(self):
+        featurizer = self._featurizer()
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(2, 3\)"):
+            featurizer.featurize(["Pes", "štěká"], np.zeros((2, 3)))
+
+    def test_features_for_a_model_without_contextual_width_rejected(self):
+        featurizer = self._featurizer(contextual_dim=0)
+        with pytest.raises(ValueError, match=r"shape \(1, 0\), got \(1, 2\)"):
+            featurizer.featurize(["Pes"], np.zeros((1, 2)))

@@ -1,6 +1,4 @@
-"""Tests for the three learning-rate schedules and their pinned constants."""
-
-import math
+"""Tests for the learning-rate schedules and their pinned constants."""
 
 import pytest
 
@@ -8,7 +6,6 @@ from desklm.neural.schedule import (
     ScheduleConfig,
     pretraining_schedule,
     schedule_lr,
-    semantic_schedule,
     sentiment_schedule,
 )
 
@@ -54,31 +51,6 @@ class TestPolynomialDecay:
             )
 
 
-class TestInverseSqrt:
-    def test_frozen_prefix_is_zero(self):
-        config = semantic_schedule()
-        assert schedule_lr(config, 0) == 0.0
-        assert schedule_lr(config, 1_999) == 0.0
-
-    def test_warmup_reaches_peak(self):
-        config = semantic_schedule()
-        assert schedule_lr(config, 2_000 + 6_000) == pytest.approx(6e-5, rel=1e-12)
-
-    def test_inverse_sqrt_tail(self):
-        config = semantic_schedule()
-        step = 2_000 + 24_000
-        assert schedule_lr(config, step) == pytest.approx(
-            6e-5 * math.sqrt(6_000 / 24_000), rel=1e-12
-        )
-
-    def test_continuity_at_warmup_boundary(self):
-        config = semantic_schedule()
-        boundary = 2_000 + 6_000
-        left = schedule_lr(config, boundary - 1e-9)
-        right = schedule_lr(config, boundary + 1e-9)
-        assert abs(left - right) < 1e-12
-
-
 class TestCosineWarmupDecay:
     def test_pinned_epoch_values(self):
         config = sentiment_schedule(peak_lr=3e-5)
@@ -111,5 +83,5 @@ class TestValidation:
             schedule_lr(pretraining_schedule(), -1)
 
     def test_nonpositive_peak_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(kind="inverse_sqrt", peak_lr=0.0)
+        with pytest.raises(ValueError, match="peak_lr"):
+            ScheduleConfig(kind="cosine_warmup_decay", peak_lr=0.0)

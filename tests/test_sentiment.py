@@ -11,7 +11,6 @@ from desklm.heads import sentiment
 from desklm.heads.sentiment import (
     SentimentEncoder,
     SentimentError,
-    SentimentItem,
     read_sentiment_tsv,
     run_sentiment_protocol,
 )
