@@ -8,9 +8,8 @@ original ids only at selected positions.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +18,6 @@ from .corpus import Corpus
 
 #: Marker in target matrices for positions that do not contribute to the loss.
 IGNORE_INDEX = -100
-
-SAMPLE_STREAM_MAGIC = b"DLMS"
-SAMPLE_STREAM_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -152,37 +148,3 @@ def build_mlm_batch(
         target_ids[row, : len(ids)] = targets
         mask_positions.append(positions)
     return MlmBatch(input_ids, target_ids, mask_positions)
-
-
-def serialize_samples(samples: Sequence[Sample], stream: IO[bytes]) -> None:
-    """Write samples as magic + version, then per sample a little-endian
-    u32 length followed by that many u32 ids."""
-    stream.write(SAMPLE_STREAM_MAGIC)
-    stream.write(bytes([SAMPLE_STREAM_VERSION]))
-    for sample in samples:
-        stream.write(struct.pack("<I", len(sample.ids)))
-        stream.write(struct.pack(f"<{len(sample.ids)}I", *sample.ids))
-
-
-def deserialize_samples(stream: IO[bytes]) -> list[Sample]:
-    """Inverse of :func:`serialize_samples` (ids only; packing metadata is
-    not part of the wire format)."""
-    magic = stream.read(4)
-    if magic != SAMPLE_STREAM_MAGIC:
-        raise ValueError(f"bad sample stream magic {magic!r}")
-    version = stream.read(1)
-    if version != bytes([SAMPLE_STREAM_VERSION]):
-        raise ValueError(f"unsupported sample stream version {version!r}")
-    samples = []
-    while True:
-        header = stream.read(4)
-        if not header:
-            break
-        if len(header) != 4:
-            raise ValueError("truncated sample stream")
-        (length,) = struct.unpack("<I", header)
-        payload = stream.read(4 * length)
-        if len(payload) != 4 * length:
-            raise ValueError("truncated sample payload")
-        samples.append(Sample(ids=struct.unpack(f"<{length}I", payload)))
-    return samples

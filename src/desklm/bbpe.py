@@ -9,6 +9,7 @@ never cross pre-token boundaries.  No unicode normalization is applied.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,10 +36,6 @@ FIRST_BYTE_ID = NUM_SPECIALS
 FIRST_MERGE_ID = NUM_SPECIALS + 256
 
 _PRETOKEN_RE = re.compile(r" ?\S+|\s+(?!\S)|\s+")
-
-# Cache key for the merge-rank table; an object() can never collide with a
-# str pre-token key.
-_RANKS_KEY = object()
 
 
 @dataclass(frozen=True)
@@ -72,17 +69,13 @@ class ByteVocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @functools.cached_property
     def merge_ranks(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(left, right) -> (rank, result id), cached after first use."""
-        ranks = self._pretoken_cache.get(_RANKS_KEY)
-        if ranks is None:
-            ranks = {
-                (left, right): (rank, result)
-                for rank, (left, right, result) in enumerate(self.merges)
-            }
-            self._pretoken_cache[_RANKS_KEY] = ranks
-        return ranks
+        """(left, right) -> (rank, result id)."""
+        return {
+            (left, right): (rank, result)
+            for rank, (left, right, result) in enumerate(self.merges)
+        }
 
 
 @dataclass(frozen=True)
@@ -163,35 +156,22 @@ def _apply_merge_inplace(word: list[int], pair: tuple[int, int], new_id: int) ->
             i += 1
 
 
-def _encode_pretoken(vocab: ByteVocab, pretoken: str) -> tuple[list[int], list[int]]:
-    """Ids plus per-id byte lengths for one pre-token (cached per vocab)."""
+def _encode_pretoken(vocab: ByteVocab, pretoken: str) -> list[int]:
+    """Ids for one pre-token: the lowest-ranked applicable merge first
+    (cached per vocab)."""
     cached = vocab._pretoken_cache.get(pretoken)
     if cached is not None:
         return cached
-    raw = pretoken.encode("utf-8")
-    ids = [FIRST_BYTE_ID + b for b in raw]
-    lengths = [1] * len(ids)
+    ids = [FIRST_BYTE_ID + b for b in pretoken.encode("utf-8")]
     ranks = vocab.merge_ranks
     while len(ids) > 1:
-        best_rank, best_pos = None, None
-        for pos in range(len(ids) - 1):
-            hit = ranks.get((ids[pos], ids[pos + 1]))
-            if hit is not None and (best_rank is None or hit[0] < best_rank):
-                best_rank, best_pos = hit[0], pos
-        if best_pos is None:
+        hits = [ranks[pair] for pair in zip(ids, ids[1:]) if pair in ranks]
+        if not hits:
             break
-        pair = (ids[best_pos], ids[best_pos + 1])
-        new_id = ranks[pair][1]
-        pos = 0
-        while pos < len(ids) - 1:
-            if ids[pos] == pair[0] and ids[pos + 1] == pair[1]:
-                ids[pos : pos + 2] = [new_id]
-                lengths[pos : pos + 2] = [lengths[pos] + lengths[pos + 1]]
-            else:
-                pos += 1
-    result = (ids, lengths)
-    vocab._pretoken_cache[pretoken] = result
-    return result
+        rank, new_id = min(hits)
+        _apply_merge_inplace(ids, vocab.merges[rank][:2], new_id)
+    vocab._pretoken_cache[pretoken] = ids
+    return ids
 
 
 def encode(vocab: ByteVocab, text: str) -> Encoding:
@@ -200,8 +180,8 @@ def encode(vocab: ByteVocab, text: str) -> Encoding:
     offsets: list[tuple[int, int]] = []
     byte_pos = 0
     for pretoken in _pretokenize(text):
-        token_ids, lengths = _encode_pretoken(vocab, pretoken)
-        for token_id, length in zip(token_ids, lengths):
+        for token_id in _encode_pretoken(vocab, pretoken):
+            length = len(vocab.tokens[token_id])
             ids.append(token_id)
             offsets.append((byte_pos, byte_pos + length))
             byte_pos += length

@@ -365,39 +365,6 @@ def serialize_conllu(corpus: Corpus) -> str:
     return out.getvalue()
 
 
-def block_shuffle(doc: Document, max_block_words: int = 100, seed: int = 0) -> Document:
-    """Permute greedy sentence blocks of at most ``max_block_words`` words.
-
-    Grouping is greedy left-to-right; a single sentence longer than the
-    cap forms its own block.  The sentence multiset is preserved.
-    """
-    if max_block_words < 1:
-        raise ValueError("max_block_words must be >= 1")
-    blocks: list[list[Sentence]] = []
-    current: list[Sentence] = []
-    current_words = 0
-    for sentence in doc.sentences:
-        n = len(sentence)
-        if current and current_words + n > max_block_words:
-            blocks.append(current)
-            current, current_words = [], 0
-        current.append(sentence)
-        current_words += n
-    if current:
-        blocks.append(current)
-
-    rng = random.Random(seed)
-    rng.shuffle(blocks)
-    return Document(doc.id, tuple(s for block in blocks for s in block))
-
-
-def filter_min_tokens(corpus: Corpus, min_tokens: int = 400) -> Corpus:
-    """Keep exactly the documents with at least ``min_tokens`` tokens."""
-    if min_tokens < 0:
-        raise ValueError("min_tokens must be >= 0")
-    return Corpus(tuple(d for d in corpus.documents if d.token_count >= min_tokens))
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -434,35 +401,3 @@ def kfold_split(
         train = [i for i in rest if i not in dev_set]
         folds.append(FoldSplit(fold, tuple(train), tuple(dev), tuple(test)))
     return folds
-
-
-def write_fold_splits(splits: Sequence[FoldSplit]) -> str:
-    """Serialize folds to the line format ``fold<TAB>role<TAB>id``."""
-    lines = []
-    for split in splits:
-        for role, ids in (
-            ("train", split.train_ids),
-            ("dev", split.dev_ids),
-            ("test", split.test_ids),
-        ):
-            for item in ids:
-                lines.append(f"{split.fold_index}\t{role}\t{item}")
-    return "\n".join(lines) + "\n"
-
-
-def read_fold_splits(text: str) -> list[FoldSplit]:
-    """Inverse of :func:`write_fold_splits`."""
-    by_fold: dict[int, dict[str, list[str]]] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[1] not in ("train", "dev", "test"):
-            raise CorpusError(f"line {number}: malformed fold line {line!r}")
-        fold = int(parts[0])
-        by_fold.setdefault(fold, {"train": [], "dev": [], "test": []})
-        by_fold[fold][parts[1]].append(parts[2])
-    return [
-        FoldSplit(fold, tuple(r["train"]), tuple(r["dev"]), tuple(r["test"]))
-        for fold, r in sorted(by_fold.items())
-    ]

@@ -1,37 +1,2 @@
 """Downstream task heads: edit-script lemmatization with tagging, biaffine
 dependency parsing, flat and nested NER, and the sentiment protocol."""
-
-from .lemma import (
-    EditScript,
-    LemmaCategoryInventory,
-    apply_edit_script,
-    build_lemma_inventory,
-    derive_edit_script,
-)
-from .parser import DepArcScores, biaffine_scores, decode_tree, init_biaffine_params
-from .ner import (
-    bio_constraint_penalties,
-    crf_decode,
-    crf_log_partition,
-    crf_loss,
-    decode_nested,
-    encode_nested,
-)
-
-__all__ = [
-    "DepArcScores",
-    "EditScript",
-    "LemmaCategoryInventory",
-    "apply_edit_script",
-    "biaffine_scores",
-    "bio_constraint_penalties",
-    "build_lemma_inventory",
-    "crf_decode",
-    "crf_log_partition",
-    "crf_loss",
-    "decode_nested",
-    "decode_tree",
-    "derive_edit_script",
-    "encode_nested",
-    "init_biaffine_params",
-]

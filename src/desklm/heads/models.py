@@ -303,18 +303,6 @@ def train(
     return losses
 
 
-def tagger_accuracy(model: TaggerModel, sentences: Sequence[Sentence]) -> tuple[float, float]:
-    """(tag accuracy, lemma accuracy) over gold-annotated sentences."""
-    tag_correct = lemma_correct = total = 0
-    for sentence in sentences:
-        tags, lemmas = model.predict(sentence)
-        for token, tag, lemma in zip(sentence.tokens, tags, lemmas):
-            total += 1
-            tag_correct += tag == (token.upos or "_")
-            lemma_correct += lemma == (token.lemma or token.form)
-    return tag_correct / total, lemma_correct / total
-
-
 class JointParserModel:
     """Biaffine parser sharing the encoder with the tagger heads; losses
     are summed with equal weights."""
@@ -372,22 +360,6 @@ class JointParserModel:
         heads, label_ids = decode_tree(scores)
         id_to_relation = {i: r for r, i in self.relations.items()}
         return heads, [id_to_relation[i] for i in label_ids]
-
-
-def parser_attachment_scores(
-    model: JointParserModel, sentences: Sequence[Sentence]
-) -> tuple[float, float]:
-    """(UAS, LAS) over gold-annotated sentences, same tokenization."""
-    uas = las = total = 0
-    for sentence in sentences:
-        heads, relations = model.predict(sentence)
-        for token, head, relation in zip(sentence.tokens, heads, relations):
-            total += 1
-            if head == token.head:
-                uas += 1
-                if relation == (token.deprel or "_"):
-                    las += 1
-    return uas / total, las / total
 
 
 class FlatNerModel:

@@ -23,11 +23,11 @@ the smaller dependent token when choosing where an arc enters a cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..neural.layers import uniform_param, zeros_param
 from ..neural.tensor import Tensor
 
 NEG_INF = float("-inf")
@@ -49,20 +49,19 @@ def init_biaffine_params(
     repr_dim: int, num_relations: int, seed: int = 0, dtype=np.float32
 ) -> dict[str, Tensor]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    scale = 1.0 / math.sqrt(repr_dim)
 
     def uniform(shape):
-        return Tensor(rng.uniform(-scale, scale, size=shape).astype(dtype), requires_grad=True)
+        return uniform_param(rng, shape, repr_dim, dtype)
 
     return {
         "arc.U": uniform((repr_dim, repr_dim)),
         "arc.u": uniform((repr_dim, 1)),
         "arc.v": uniform((repr_dim, 1)),
-        "arc.b": Tensor(np.zeros((), dtype=dtype), requires_grad=True),
+        "arc.b": zeros_param((), dtype),
         "label.U": uniform((num_relations, repr_dim, repr_dim)),
         "label.u": uniform((repr_dim, num_relations)),
         "label.v": uniform((repr_dim, num_relations)),
-        "label.b": Tensor(np.zeros(num_relations, dtype=dtype), requires_grad=True),
+        "label.b": zeros_param(num_relations, dtype),
     }
 
 

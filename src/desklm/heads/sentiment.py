@@ -65,11 +65,6 @@ def read_sentiment_tsv(text: str) -> list[SentimentItem]:
     return items
 
 
-def write_sentiment_tsv(items: Sequence[SentimentItem]) -> str:
-    inverse = {v: k for k, v in LABEL_ALIASES.items()}
-    return "".join(f"{inverse[item.label]}\t{item.text}\n" for item in items)
-
-
 @dataclass
 class SentimentEncoder:
     """Pretrained transformer bundle used as the document encoder."""

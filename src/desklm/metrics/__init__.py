@@ -1,39 +1,2 @@
 """Evaluation metrics: CoNLL 2018 morphosyntax scores, span F1, semantic
 graph scoring via maximum common edge subgraph, and fold aggregation."""
-
-from .counts import PrfCounts
-from .aggregate import aggregate_folds, macro_f1
-from .spans import span_f1
-from .conllu_eval import ConlluEvalError, ConlluEvalReport, eval_conllu
-from .mrp import (
-    McesAlignment,
-    MrpEdge,
-    MrpGraph,
-    MrpNode,
-    MrpScore,
-    mces_align,
-    mrp_score,
-    mrp_score_corpus,
-    read_mrp_jsonl,
-    write_mrp_jsonl,
-)
-
-__all__ = [
-    "ConlluEvalError",
-    "ConlluEvalReport",
-    "McesAlignment",
-    "MrpEdge",
-    "MrpGraph",
-    "MrpNode",
-    "MrpScore",
-    "PrfCounts",
-    "aggregate_folds",
-    "eval_conllu",
-    "macro_f1",
-    "mces_align",
-    "mrp_score",
-    "mrp_score_corpus",
-    "read_mrp_jsonl",
-    "span_f1",
-    "write_mrp_jsonl",
-]

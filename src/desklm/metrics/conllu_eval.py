@@ -18,9 +18,10 @@ The metric definitions follow the shared task exactly:
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..corpus import Corpus, Sentence
 from .counts import PrfCounts
@@ -82,10 +83,10 @@ def _filter_feats(ufeats) -> str:
     return "|".join(kept) if kept else "_"
 
 
-def _multiword_ranges(sentence: Sentence) -> list[tuple[int, int]]:
-    """(first word index, last word index), 0-based, per multiword row."""
+def _multiword_ranges(sentence: Sentence) -> list[tuple[int, int, str]]:
+    """(first word index, last word index, form), 0-based, per multiword row."""
     ranges = []
-    for position, columns in sentence.extra_rows:
+    for _, columns in sentence.extra_rows:
         token_id = columns[0]
         if "-" not in token_id:
             continue
@@ -94,6 +95,8 @@ def _multiword_ranges(sentence: Sentence) -> list[tuple[int, int]]:
             start, end = int(start_str), int(end_str)
         except ValueError:
             continue
+        if end < start:
+            raise ConlluEvalError(f"multiword token range {token_id} ends before it starts")
         ranges.append((start - 1, end - 1, columns[1]))
     return ranges
 
@@ -104,51 +107,39 @@ def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
     words: list[_Word] = []
     for sentence in corpus.sentences():
         n = len(sentence.tokens)
-        sentence_words: list[_Word] = []
-        mwt_cover: dict[int, tuple[int, int]] = {}
-        offset = len(characters)
+        forms = [_strip_spaces(token.form) for token in sentence.tokens]
+        range_info = {
+            start: (form, min(end, n - 1)) for start, end, form in _multiword_ranges(sentence)
+        }
         spans_by_word: dict[int, tuple[int, int]] = {}
-        cursor = offset
-        ranges = _multiword_ranges(sentence)
-        covered: set[int] = set()
-        range_info: dict[int, tuple[str, int]] = {}
-        for start, end, form in ranges:
-            for w in range(start, min(end + 1, n)):
-                covered.add(w)
-            range_info[start] = (form, min(end, n - 1))
+        mwt_cover: set[int] = set()
         w = 0
         while w < n:
             if w in range_info:
                 form, last = range_info[w]
                 text = _strip_spaces(form)
-                span = (cursor, cursor + len(text))
-                characters.extend(text)
-                cursor += len(text)
-                for i in range(w, last + 1):
-                    spans_by_word[i] = span
-                    mwt_cover[i] = span
-                w = last + 1
+                mwt_cover.update(range(w, last + 1))
             else:
-                text = _strip_spaces(sentence.tokens[w].form)
-                spans_by_word[w] = (cursor, cursor + len(text))
-                characters.extend(text)
-                cursor += len(text)
-                w += 1
+                text, last = forms[w], w
+            span = (len(characters), len(characters) + len(text))
+            characters.extend(text)
+            for i in range(w, last + 1):
+                spans_by_word[i] = span
+            w = last + 1
 
-        for i, token in enumerate(sentence.tokens):
-            deprel = (token.deprel or "_").split(":")[0]
-            sentence_words.append(
-                _Word(
-                    form=_strip_spaces(token.form),
-                    lemma=token.lemma or "_",
-                    upos=token.upos or "_",
-                    xpos=token.xpos or "_",
-                    feats=_filter_feats(token.ufeats),
-                    deprel=deprel,
-                    span=spans_by_word[i],
-                    is_multiword=i in mwt_cover,
-                )
+        sentence_words = [
+            _Word(
+                form=forms[i],
+                lemma=token.lemma or "_",
+                upos=token.upos or "_",
+                xpos=token.xpos or "_",
+                feats=_filter_feats(token.ufeats),
+                deprel=(token.deprel or "_").split(":")[0],
+                span=spans_by_word[i],
+                is_multiword=i in mwt_cover,
             )
+            for i, token in enumerate(sentence.tokens)
+        ]
 
         heads = [token.head for token in sentence.tokens]
         if any(h is None for h in heads):
@@ -217,11 +208,13 @@ def _align_words(
     )
     pairs: list[tuple[_Word, _Word]] = []
     gi = si = 0
-    for span in multiword_spans:
+    # A sentinel region past the text lets the last one-to-one walk run to
+    # the end; one side is then exhausted, so its LCS chunk pairs nothing.
+    for start, end in [*multiword_spans, (math.inf, math.inf)]:
         while (
             gi < len(gold)
             and si < len(system)
-            and (gold[gi].span[0] < span[0] or system[si].span[0] < span[0])
+            and (gold[gi].span[0] < start or system[si].span[0] < start)
         ):
             if gold[gi].span == system[si].span:
                 pairs.append((gold[gi], system[si]))
@@ -232,23 +225,14 @@ def _align_words(
             else:
                 si += 1
         gold_chunk = []
-        while gi < len(gold) and gold[gi].span[1] <= span[1]:
+        while gi < len(gold) and gold[gi].span[1] <= end:
             gold_chunk.append(gold[gi])
             gi += 1
         system_chunk = []
-        while si < len(system) and system[si].span[1] <= span[1]:
+        while si < len(system) and system[si].span[1] <= end:
             system_chunk.append(system[si])
             si += 1
         pairs.extend(_lcs_pairs(gold_chunk, system_chunk))
-    while gi < len(gold) and si < len(system):
-        if gold[gi].span == system[si].span:
-            pairs.append((gold[gi], system[si]))
-            gi += 1
-            si += 1
-        elif gold[gi].span[0] <= system[si].span[0]:
-            gi += 1
-        else:
-            si += 1
     system_to_gold = {id(s): g for g, s in pairs}
     return pairs, system_to_gold
 
@@ -306,13 +290,6 @@ class ConlluEvalReport:
         return {
             name: getattr(self, name.lower()).f1_percent for name in self.METRIC_NAMES
         }
-
-    def to_table(self) -> str:
-        lines = ["Metric     |     F1"]
-        lines.append("-----------+-------")
-        for name, value in self.scores().items():
-            lines.append(f"{name:<10} | {value:6.2f}")
-        return "\n".join(lines)
 
 
 def eval_conllu(gold: Corpus, system: Corpus) -> ConlluEvalReport:

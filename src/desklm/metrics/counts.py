@@ -45,6 +45,3 @@ class PrfCounts:
             self.system_total + other.system_total,
             self.gold_total + other.gold_total,
         )
-
-
-ZERO_COUNTS = PrfCounts(0, 0, 0)

@@ -553,11 +553,6 @@ class MrpScore:
             total = total + getattr(self, facet)
         return total
 
-    def facet_f1(self) -> dict[str, float]:
-        values = {facet: getattr(self, facet).f1 for facet in FACETS}
-        values["average"] = self.average.f1
-        return values
-
     def __add__(self, other: "MrpScore") -> "MrpScore":
         return MrpScore(
             *(getattr(self, facet) + getattr(other, facet) for facet in FACETS)

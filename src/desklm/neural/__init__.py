@@ -1,45 +1,3 @@
 """Deterministic numerical core: tensors with reverse-mode differentiation,
 transformer encoder, recurrent layers, optimizers, schedules and the
 finite-difference gradient checker."""
-
-from .tensor import Tensor, concat, log_softmax, softmax, stack
-from .gradcheck import GradCheckReport, gradient_check
-from .schedule import ScheduleConfig, schedule_lr
-from .optim import AdamConfig, AdamState, adam_step
-from .layers import (
-    TransformerConfig,
-    birnn_layer,
-    forward_transformer,
-    init_birnn_params,
-    init_transformer_params,
-    layer_norm,
-    mlm_logits,
-    mlm_loss,
-    pool_subwords,
-    scalar_mix,
-)
-
-__all__ = [
-    "AdamConfig",
-    "AdamState",
-    "GradCheckReport",
-    "ScheduleConfig",
-    "Tensor",
-    "TransformerConfig",
-    "adam_step",
-    "birnn_layer",
-    "concat",
-    "forward_transformer",
-    "gradient_check",
-    "init_birnn_params",
-    "init_transformer_params",
-    "layer_norm",
-    "log_softmax",
-    "mlm_logits",
-    "mlm_loss",
-    "pool_subwords",
-    "scalar_mix",
-    "schedule_lr",
-    "softmax",
-    "stack",
-]

@@ -9,7 +9,7 @@ uniformly.  Weight matrices are initialized uniformly at +-1/sqrt(fan_in).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +44,7 @@ class TransformerConfig:
         return self.hidden // self.heads
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "ff_dim": self.ff_dim,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions,
-            "ln_eps": self.ln_eps,
-        }
+        return asdict(self)
 
 
 def uniform_param(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:

@@ -9,7 +9,13 @@ import numpy as np
 from ..batching import IGNORE_INDEX, Sample, build_mlm_batch
 from ..bbpe import ByteVocab
 from .checkpoint import format_log_line
-from .layers import TransformerConfig, forward_transformer, mlm_logits, mlm_loss
+from .layers import (
+    TransformerConfig,
+    forward_transformer,
+    init_transformer_params,
+    mlm_logits,
+    mlm_loss,
+)
 from .optim import AdamConfig, AdamState, adam_step, collect_grads, zero_grads
 from .schedule import ScheduleConfig, schedule_lr
 from .tensor import Tensor
@@ -37,8 +43,6 @@ def train_mlm(
     """
     if not samples:
         raise ValueError("no samples to train on")
-    from .layers import init_transformer_params
-
     if params is None:
         params = init_transformer_params(model_config, seed=seed, dtype=dtype)
     state = AdamState()

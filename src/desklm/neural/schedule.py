@@ -29,18 +29,6 @@ class ScheduleConfig:
             raise ValueError("warmup_steps must not exceed total_steps")
 
 
-def pretraining_schedule(
-    peak_lr: float = 7e-4, warmup_steps: int = 10_000, total_steps: int = 91_075
-) -> ScheduleConfig:
-    """Replicated pretraining recipe: linear warmup then polynomial decay."""
-    return ScheduleConfig(
-        kind="polynomial_decay",
-        peak_lr=peak_lr,
-        warmup_steps=warmup_steps,
-        total_steps=total_steps,
-    )
-
-
 def sentiment_schedule(
     peak_lr: float, warmup_epochs: float = 4.0, decay_epochs: float = 10.0
 ) -> ScheduleConfig:

@@ -8,7 +8,7 @@ order.  Everything is single-threaded and deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -233,11 +230,6 @@ class Tensor:
             self._accumulate(g * local)
 
         out._backward = backward
-        return out
-
-    def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.data, 0.0), parents=(self,))
-        out._backward = lambda g: self._accumulate(g * (self.data > 0))
         return out
 
     # -- shape manipulation ---------------------------------------------------

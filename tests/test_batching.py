@@ -1,7 +1,5 @@
 """Tests for FULL-SENTENCES packing and dynamic masking."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,7 @@ from desklm.batching import (
     Sample,
     apply_dynamic_masking,
     build_mlm_batch,
-    deserialize_samples,
     pack_full_sentences,
-    serialize_samples,
 )
 from desklm.bbpe import train_bbpe
 from desklm.corpus import Corpus, Document, Sentence, Token, ingest_plaintext
@@ -149,15 +145,3 @@ class TestBatchAndSerialization:
         row_len = len(samples[-1].ids)
         assert (batch.input_ids[-1, row_len:] == vocab.special_tokens.pad).all()
         assert (batch.target_ids[-1, row_len:] == IGNORE_INDEX).all()
-
-    def test_sample_stream_round_trip(self, vocab):
-        samples = pack_full_sentences(_word_corpus([5, 9, 3, 30]), vocab, max_len=16)
-        buffer = io.BytesIO()
-        serialize_samples(samples, buffer)
-        buffer.seek(0)
-        loaded = deserialize_samples(buffer)
-        assert [s.ids for s in loaded] == [s.ids for s in samples]
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            deserialize_samples(io.BytesIO(b"XXXX\x01"))

@@ -8,7 +8,6 @@ from desklm.bbpe import (
     FIRST_MERGE_ID,
     NUM_SPECIALS,
     BbpeError,
-    ByteVocab,
     decode,
     encode,
     load_vocab,

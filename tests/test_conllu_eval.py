@@ -101,6 +101,19 @@ class TestTokenizationMismatch:
         assert f"{scores['UPOS']:.2f}" == "57.14"
         assert f"{scores['MLAS']:.2f}" == "66.67"
 
+    def test_space_separator_inside_gold_form_is_stripped(self):
+        # Gold keeps "do Prahy" (with U+00A0) as one word; its raw text is
+        # "doPrahy", which the system's "do" + "Prahy" covers, so the texts
+        # agree but the one gold word aligns with neither system word.
+        gold = _corpus(SYSTEM_MERGED.replace("3\tdoPrahy", "3\tdo\u00a0Prahy"))
+        report = eval_conllu(gold, _corpus(GOLD_SPLIT))
+        assert (report.upos.correct, report.upos.system_total, report.upos.gold_total) == (
+            2, 4, 3
+        )
+        assert (report.uas.correct, report.las.correct) == (2, 2)
+        # The same word without the separator aligns one to one.
+        assert eval_conllu(gold, _corpus(SYSTEM_MERGED)).upos.correct == 3
+
     def test_differing_raw_text_is_error(self):
         other = GOLD_SPLIT.replace("Vlak", "Vlk")
         with pytest.raises(ConlluEvalError, match="differ"):
@@ -137,6 +150,11 @@ class TestMultiwordAlignment:
         assert report.upos.correct == 0
         assert report.upos.gold_total == 2
         assert report.upos.system_total == 1
+
+    def test_range_ending_before_its_start_is_rejected(self):
+        text = MWT_GOLD.replace("1-2\tdoma", "2-1\tdoma")
+        with pytest.raises(ConlluEvalError, match="2-1"):
+            eval_conllu(_corpus(text), _corpus(MWT_SYSTEM_PLAIN))
 
     def test_mwt_gold_vs_gold(self):
         gold = _corpus(MWT_GOLD)

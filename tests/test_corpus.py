@@ -1,6 +1,4 @@
-"""Tests for corpus ingestion, shuffling and fold splitting."""
-
-import random
+"""Tests for corpus ingestion and fold splitting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,17 +7,12 @@ from desklm.corpus import (
     ConlluParseError,
     Corpus,
     CorpusError,
-    Document,
     Sentence,
     Token,
-    block_shuffle,
-    filter_min_tokens,
     ingest_conllu,
     ingest_plaintext,
     kfold_split,
-    read_fold_splits,
     serialize_conllu,
-    write_fold_splits,
 )
 
 CONLLU_SAMPLE = """\
@@ -132,87 +125,6 @@ class TestTokenInvariants:
         assert len(sentence.entity_spans) == 2
 
 
-def _doc_with_sentence_lengths(lengths):
-    sentences = tuple(
-        Sentence(tuple(Token(form=f"s{i}w{j}") for j in range(n)))
-        for i, n in enumerate(lengths)
-    )
-    return Document("d", sentences)
-
-
-class TestBlockShuffle:
-    def test_two_blocks_is_one_of_two_orderings(self):
-        doc = _doc_with_sentence_lengths([60, 60])
-        out = block_shuffle(doc, max_block_words=100, seed=3)
-        first = {s.forms[0] for s in doc.sentences}
-        assert {s.forms[0] for s in out.sentences} == first
-        assert out.sentences in (doc.sentences, (doc.sentences[1], doc.sentences[0]))
-
-    def test_oversized_sentence_is_identity(self):
-        doc = _doc_with_sentence_lengths([150])
-        assert block_shuffle(doc, max_block_words=100, seed=1) == doc
-
-    def test_same_seed_is_deterministic(self):
-        doc = _doc_with_sentence_lengths([10, 20, 30, 40, 50, 60])
-        a = block_shuffle(doc, max_block_words=50, seed=7)
-        b = block_shuffle(doc, max_block_words=50, seed=7)
-        assert a == b
-
-    @given(
-        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=12),
-        cap=st.integers(1, 120),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=60)
-    def test_multiset_preserved_and_blocks_bounded(self, lengths, cap, seed):
-        doc = _doc_with_sentence_lengths(lengths)
-        out = block_shuffle(doc, max_block_words=cap, seed=seed)
-        assert sorted(s.forms[0] for s in out.sentences) == sorted(
-            s.forms[0] for s in doc.sentences
-        )
-        # Rebuild greedy blocks on the input and check the word cap except for
-        # singleton oversized blocks.
-        blocks, current = [], []
-        for s in doc.sentences:
-            if current and sum(map(len, current)) + len(s) > cap:
-                blocks.append(current)
-                current = []
-            current.append(s)
-        if current:
-            blocks.append(current)
-        for block in blocks:
-            if len(block) > 1:
-                assert sum(map(len, block)) <= cap
-
-
-class TestFilterMinTokens:
-    def test_boundary(self):
-        docs = (
-            _doc_with_sentence_lengths([399]),
-            _doc_with_sentence_lengths([400]),
-        )
-        corpus = Corpus((Document("a", docs[0].sentences), Document("b", docs[1].sentences)))
-        out = filter_min_tokens(corpus, min_tokens=400)
-        assert [d.id for d in out.documents] == ["b"]
-
-    def test_threshold_zero_is_identity(self):
-        corpus = ingest_plaintext(b"a b\n\nc")
-        assert filter_min_tokens(corpus, min_tokens=0) == corpus
-
-    def test_recount_oracle(self):
-        rng = random.Random(5)
-        docs = []
-        for i in range(20):
-            lengths = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
-            docs.append(Document(f"d{i}", _doc_with_sentence_lengths(lengths).sentences))
-        corpus = Corpus(tuple(docs))
-        out = filter_min_tokens(corpus, min_tokens=40)
-        survivors = [d for d in docs if sum(len(s) for s in d.sentences) >= 40]
-        assert out.token_count == sum(
-            len(s) for d in survivors for s in d.sentences
-        )
-
-
 class TestKfoldSplit:
     def test_ten_items_ten_folds(self):
         splits = kfold_split([f"i{n}" for n in range(10)], k=10, seed=1)
@@ -246,8 +158,3 @@ class TestKfoldSplit:
             train, dev, test = set(s.train_ids), set(s.dev_ids), set(s.test_ids)
             assert not (train & dev) and not (train & test) and not (dev & test)
             assert train | dev | test == set(ids)
-
-    def test_fold_serialization_round_trip(self):
-        splits = kfold_split([f"i{n}" for n in range(30)], k=5, seed=9)
-        text = write_fold_splits(splits)
-        assert read_fold_splits(text) == splits

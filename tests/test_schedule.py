@@ -1,25 +1,26 @@
 """Tests for the learning-rate schedules and their pinned constants."""
 
+import dataclasses
+
 import pytest
 
-from desklm.neural.schedule import (
-    ScheduleConfig,
-    pretraining_schedule,
-    schedule_lr,
-    sentiment_schedule,
-)
+from desklm.config import ScheduleSettings
+from desklm.neural.schedule import ScheduleConfig, schedule_lr, sentiment_schedule
+
+#: The pretraining recipe, built from the config defaults that carry it.
+RECIPE = ScheduleConfig(**dataclasses.asdict(ScheduleSettings()))
 
 
 class TestPolynomialDecay:
     def test_peak_exactly_at_warmup_end(self):
-        config = pretraining_schedule()
+        config = RECIPE
         assert schedule_lr(config, 10_000) == 7e-4
 
     def test_zero_at_step_zero(self):
-        assert schedule_lr(pretraining_schedule(), 0) == 0.0
+        assert schedule_lr(RECIPE, 0) == 0.0
 
     def test_linear_interpolation_midpoint(self):
-        config = pretraining_schedule()
+        config = RECIPE
         expected = 7e-4 * (91_075 - 50_538) / (91_075 - 10_000)
         assert schedule_lr(config, 50_538) == pytest.approx(expected, rel=1e-12)
 
@@ -39,7 +40,7 @@ class TestPolynomialDecay:
         assert schedule_lr(config, 50) == pytest.approx(0.25, rel=1e-12)
 
     def test_continuity_at_warmup_boundary(self):
-        config = pretraining_schedule()
+        config = RECIPE
         left = schedule_lr(config, 10_000 - 1e-9)
         right = schedule_lr(config, 10_000 + 1e-9)
         assert abs(left - right) < 1e-12
@@ -80,7 +81,7 @@ class TestValidation:
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            schedule_lr(pretraining_schedule(), -1)
+            schedule_lr(RECIPE, -1)
 
     def test_nonpositive_peak_rejected(self):
         with pytest.raises(ValueError, match="peak_lr"):
