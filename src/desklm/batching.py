@@ -19,6 +19,10 @@ from .corpus import Corpus
 #: Marker in target matrices for positions that do not contribute to the loss.
 IGNORE_INDEX = -100
 
+#: Shares of selected positions that become the mask id, a random id, or
+#: stay unchanged (RoBERTa's 80/10/10).
+MASK_POLICY = (0.8, 0.1, 0.1)
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -91,19 +95,16 @@ def apply_dynamic_masking(
     sample: Sample,
     vocab: ByteVocab,
     mask_prob: float = 0.15,
-    policy: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Corrupt one sample; returns (input_ids, target_ids, mask_positions).
 
     Each non-special position is selected independently with probability
     ``mask_prob``; a selected position becomes the mask id, a uniform
-    random non-special id, or stays unchanged per ``policy``.
+    random non-special id, or stays unchanged per ``MASK_POLICY``.
     """
     if not sample.ids:
         raise ValueError("sample is empty")
-    if abs(sum(policy) - 1.0) > 1e-9:
-        raise ValueError(f"policy must sum to 1, got {policy}")
     specials = set(vocab.special_tokens)
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -119,9 +120,9 @@ def apply_dynamic_masking(
         positions.append(pos)
         target_ids[pos] = original
         roll = rng.random()
-        if roll < policy[0]:
+        if roll < MASK_POLICY[0]:
             input_ids[pos] = vocab.special_tokens.mask
-        elif roll < policy[0] + policy[1]:
+        elif roll < MASK_POLICY[0] + MASK_POLICY[1]:
             input_ids[pos] = rng.integers(n_specials, len(vocab.tokens))
         # else: keep the original id.
     return input_ids, target_ids, tuple(positions)
@@ -132,7 +133,6 @@ def build_mlm_batch(
     vocab: ByteVocab,
     max_len: int,
     mask_prob: float = 0.15,
-    policy: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> MlmBatch:
     """Mask each sample (seeds ``seed``, ``seed+1``, ...) and pad into a batch."""
@@ -141,9 +141,7 @@ def build_mlm_batch(
     target_ids = np.full((len(samples), max_len), IGNORE_INDEX, dtype=np.int64)
     mask_positions = []
     for row, sample in enumerate(samples):
-        ids, targets, positions = apply_dynamic_masking(
-            sample, vocab, mask_prob, policy, seed=seed + row
-        )
+        ids, targets, positions = apply_dynamic_masking(sample, vocab, mask_prob, seed=seed + row)
         input_ids[row, : len(ids)] = ids
         target_ids[row, : len(ids)] = targets
         mask_positions.append(positions)

@@ -165,11 +165,9 @@ def _decode_utf8(raw: bytes) -> str:
         raise CorpusError(f"invalid UTF-8 at byte offset {exc.start}") from exc
 
 
-def ingest_plaintext(stream: bytes | IO[bytes], doc_separator: str = "blank-line") -> Corpus:
+def ingest_plaintext(stream: bytes | IO[bytes]) -> Corpus:
     """Read plain text into a Corpus: one document per blank-line block,
     one sentence per line, tokens split on whitespace."""
-    if doc_separator != "blank-line":
-        raise ValueError(f"unsupported doc_separator: {doc_separator!r}")
     text = _decode_utf8(_read_bytes(stream))
 
     documents = []

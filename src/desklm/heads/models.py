@@ -286,7 +286,6 @@ def train(
     steps: int = 300,
     lr: float = 5e-3,
     seed: int = 0,
-    adam_config: AdamConfig = AdamConfig(),
 ) -> list[float]:
     """Single-sentence Adam steps on sentences drawn uniformly from
     ``model.sentences``; returns the per-step losses."""
@@ -298,7 +297,7 @@ def train(
         zero_grads(model.params)
         loss = model.loss(sentence)
         loss.backward()
-        adam_step(model.params, collect_grads(model.params), state, adam_config, lr)
+        adam_step(model.params, collect_grads(model.params), state, AdamConfig(), lr)
         losses.append(float(loss.data))
     return losses
 

@@ -25,16 +25,12 @@ FORBIDDEN = -1e4
 # Linear-chain CRF
 
 
-def crf_log_partition(
-    emissions: Tensor, transitions: Tensor, start: Tensor | None = None
-) -> Tensor:
+def crf_log_partition(emissions: Tensor, transitions: Tensor, start: Tensor) -> Tensor:
     """Log of the summed exponentiated path scores (forward algorithm)."""
     length, num_labels = emissions.shape
     if transitions.shape != (num_labels, num_labels):
         raise ValueError("transition matrix shape mismatch")
-    alpha = emissions[0]
-    if start is not None:
-        alpha = alpha + start
+    alpha = emissions[0] + start
     for t in range(1, length):
         step = alpha.reshape(num_labels, 1) + transitions + emissions[t].reshape(1, num_labels)
         alpha = logsumexp(step, axis=0)
@@ -42,21 +38,19 @@ def crf_log_partition(
 
 
 def crf_path_score(
-    emissions: Tensor, transitions: Tensor, tags: Sequence[int], start: Tensor | None = None
+    emissions: Tensor, transitions: Tensor, tags: Sequence[int], start: Tensor
 ) -> Tensor:
     length = emissions.shape[0]
     if len(tags) != length:
         raise ValueError(f"expected {length} tags, got {len(tags)}")
-    score = emissions[0, tags[0]]
-    if start is not None:
-        score = score + start[tags[0]]
+    score = emissions[0, tags[0]] + start[tags[0]]
     for t in range(1, length):
         score = score + transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
     return score
 
 
 def crf_loss(
-    emissions: Tensor, transitions: Tensor, tags: Sequence[int], start: Tensor | None = None
+    emissions: Tensor, transitions: Tensor, tags: Sequence[int], start: Tensor
 ) -> Tensor:
     """Negative log-likelihood of the gold tag sequence."""
     return crf_log_partition(emissions, transitions, start) - crf_path_score(
@@ -64,16 +58,12 @@ def crf_loss(
     )
 
 
-def crf_decode(
-    emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | None = None
-) -> list[int]:
+def crf_decode(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray) -> list[int]:
     """Viterbi decoding; ties resolve to the smaller label id."""
     emissions = np.asarray(emissions, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
     length, num_labels = emissions.shape
-    delta = emissions[0].copy()
-    if start is not None:
-        delta = delta + np.asarray(start, dtype=np.float64)
+    delta = emissions[0] + np.asarray(start, dtype=np.float64)
     backpointers = np.zeros((length, num_labels), dtype=np.int64)
     for t in range(1, length):
         candidate = delta[:, None] + transitions

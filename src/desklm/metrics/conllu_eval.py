@@ -19,7 +19,6 @@ The metric definitions follow the shared task exactly:
 from __future__ import annotations
 
 import math
-import unicodedata
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,8 +69,14 @@ class _Word:
         return self.deprel in FUNCTIONAL_DEPRELS
 
 
+#: Deletes the 17 space separators (Unicode category Zs).
+_SPACE_SEPARATORS = str.maketrans(
+    "", "", " \u00a0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+)
+
+
 def _strip_spaces(text: str) -> str:
-    return "".join(c for c in text if unicodedata.category(c) != "Zs")
+    return text.translate(_SPACE_SEPARATORS)
 
 
 def _filter_feats(ufeats) -> str:

@@ -7,9 +7,12 @@ maximizes the total number of matched items across all six facets (tops,
 labels, properties, anchors, edges, attributes), then reports per-facet
 precision/recall/F1 plus a pooled micro-average.
 
-The search is exact (branch and bound over injective mappings) up to a
-node limit, and seeded hill-climbing with greedy restarts beyond it; the
-result records which method produced it.
+The search is exact (branch and bound over injective mappings) when the
+larger graph has at most ``NODE_LIMIT`` nodes, and hill-climbing from
+``RESTARTS`` greedy starts seeded by ``SEED`` beyond it; the result
+records which method produced it.  Input size alone picks the method: a
+branch and bound cut off after a step budget, in place of the
+hill-climber, found fewer matched items on most 11-16-node pairs.
 
 Both searches score moves incrementally.  Under an injective mapping the
 matched-item count is a sum of independent terms: one per mapped gold
@@ -19,10 +22,11 @@ their attributes against the edges between the endpoints' images).
 These terms are precomputed once per pair (``_Problem``).  Branch and
 bound carries the running score down the recursion, adding a node's pair
 term and the terms of its edges to already-mapped nodes; the bound
-charges each edge group to its later endpoint in the search order.  The
-hill-climber scores a trial move from the terms of the moved node and
-the node it displaces only.  ``_mapping_score`` re-scores a whole mapping
-and is the reference the tests compare against.
+charges each edge group once, at its later endpoint in the search order,
+the largest of its terms: the most it can match in this system graph.
+The hill-climber scores a trial move from the terms of the moved node
+and the node it displaces only.  ``_mapping_score`` re-scores a whole
+mapping and is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ from typing import Iterable, Sequence
 from .counts import PrfCounts
 
 FACETS = ("tops", "labels", "properties", "anchors", "edges", "attributes")
+
+#: Pairs whose larger graph has at most this many nodes are searched exactly.
+NODE_LIMIT = 10
+#: Greedy restarts of the hill-climber above ``NODE_LIMIT``, and its seed.
+RESTARTS = 16
+SEED = 0
 
 
 class MrpError(Exception):
@@ -301,8 +311,9 @@ class _Problem:
       ``terms[(a, b)]``: the edges and attributes it matches once ``src``
       maps to ``a`` and ``tgt`` to ``b`` (0 for any pair not in ``terms``).
 
-    ``groups`` holds each group's ``(src, tgt, weight)``, where ``weight``
-    counts its gold edges and attributes, the most it can match;
+    ``groups`` holds each group's ``(src, tgt, weight, cap)``, where
+    ``weight`` counts its gold edges and attributes and ``cap``, the largest
+    value in ``terms``, is the most it can match in this system graph;
     ``incident[g]`` holds ``(other endpoint, terms, g is the source)`` for
     each group touching gold node ``g``.
     """
@@ -310,7 +321,7 @@ class _Problem:
     gold_ids: list[int]
     system_ids: list[int]
     pair: dict[int, dict[int, int]]
-    groups: list[tuple[int, int, int]]
+    groups: list[tuple[int, int, int, int]]
     incident: dict[int, list[tuple[int, dict[tuple[int, int], int], bool]]]
 
     @classmethod
@@ -356,7 +367,8 @@ class _Problem:
                 )
                 for a, b, system_count in system_edges.get(label, [])
             }
-            groups.append((src, tgt, count + sum(c for _, _, c in attributes)))
+            weight = count + sum(c for _, _, c in attributes)
+            groups.append((src, tgt, weight, max(terms.values(), default=0)))
             incident[src].append((tgt, terms, True))
             if tgt != src:
                 incident[tgt].append((src, terms, False))
@@ -399,7 +411,7 @@ def _exact_search(problem: _Problem) -> dict[int, int]:
     gold_ids = list(problem.gold_ids)
     best_pair = {g: max(pair[g].values(), default=0) for g in gold_ids}
     edge_weight: dict[int, int] = dict.fromkeys(gold_ids, 0)
-    for src, tgt, weight in problem.groups:
+    for src, tgt, weight, _ in problem.groups:
         edge_weight[src] += weight
         if tgt != src:
             edge_weight[tgt] += weight
@@ -408,12 +420,13 @@ def _exact_search(problem: _Problem) -> dict[int, int]:
     # assignments surface early and the bound prunes aggressively.
     gold_ids.sort(key=lambda g: -(best_pair[g] + edge_weight[g]))
     # Optimistic remaining gain from suffix [i:]: its best pair scores plus
-    # every edge group whose later endpoint in this order lies in it (a
-    # group with both endpoints in the prefix is already in ``current``).
+    # the cap of every edge group whose later endpoint in this order lies
+    # in it (a group with both endpoints in the prefix is already in
+    # ``current``).
     position = {g: i for i, g in enumerate(gold_ids)}
     closing = [0] * len(gold_ids)
-    for src, tgt, weight in problem.groups:
-        closing[max(position[src], position[tgt])] += weight
+    for src, tgt, _, cap in problem.groups:
+        closing[max(position[src], position[tgt])] += cap
     suffix_bound = [0] * (len(gold_ids) + 1)
     for i in range(len(gold_ids) - 1, -1, -1):
         suffix_bound[i] = suffix_bound[i + 1] + best_pair[gold_ids[i]] + closing[i]
@@ -508,22 +521,21 @@ def _hill_climb(problem: _Problem, restarts: int, seed: int) -> dict[int, int]:
     return best_mapping
 
 
-def mces_align(
-    gold: MrpGraph, system: MrpGraph, node_limit: int = 10, restarts: int = 16, seed: int = 0
-) -> McesAlignment:
+def mces_align(gold: MrpGraph, system: MrpGraph) -> McesAlignment:
     """Find the injective node mapping maximizing total matched items.
 
-    Exact (certified) when the larger graph has at most ``node_limit``
-    nodes; otherwise seeded hill-climbing with greedy restarts.
+    Branch and bound, certified optimal (``exact=True``), when the larger
+    graph has at most ``NODE_LIMIT`` nodes; above that, hill-climbing from
+    ``RESTARTS`` greedy starts seeded by ``SEED`` (``exact=False``).
     """
     gold_index = _FacetIndex.build(gold)
     system_index = _FacetIndex.build(system)
     problem = _Problem.build(gold, gold_index, system, system_index)
-    exact = max(len(gold.nodes), len(system.nodes)) <= node_limit
+    exact = max(len(gold.nodes), len(system.nodes)) <= NODE_LIMIT
     if exact:
         mapping = _exact_search(problem)
     else:
-        mapping = _hill_climb(problem, restarts, seed)
+        mapping = _hill_climb(problem, RESTARTS, SEED)
     return McesAlignment(
         mapping=mapping,
         matched_items=_mapping_score(gold_index, system_index, mapping),
@@ -582,15 +594,13 @@ def mrp_score(gold: MrpGraph, system: MrpGraph, alignment: McesAlignment) -> Mrp
     )
 
 
-def mrp_score_corpus(
-    pairs: Sequence[tuple[MrpGraph, MrpGraph]], node_limit: int = 10, seed: int = 0
-) -> MrpScore:
+def mrp_score_corpus(pairs: Sequence[tuple[MrpGraph, MrpGraph]]) -> MrpScore:
     """Pool per-graph counts across a corpus of (gold, system) pairs."""
     if not pairs:
         raise MrpError("no graph pairs to score")
     total: MrpScore | None = None
     for gold, system in pairs:
-        alignment = mces_align(gold, system, node_limit=node_limit, seed=seed)
+        alignment = mces_align(gold, system)
         score = mrp_score(gold, system, alignment)
         total = score if total is None else total + score
     return total

@@ -165,14 +165,14 @@ def mlm_logits(config: TransformerConfig, params: dict[str, Tensor], hidden: Ten
     return normed @ params["mlm.w"] + params["mlm.b"]
 
 
-def mlm_loss(logits: Tensor, target_ids: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:
+def mlm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     """Mean cross-entropy over positions whose target is not ignored;
     defined as 0 (with zero gradient) when nothing is targeted."""
     targets = np.asarray(target_ids)
     vocab = logits.shape[-1]
     flat_logits = logits.reshape(-1, vocab)
     flat_targets = targets.reshape(-1)
-    keep = np.nonzero(flat_targets != ignore_index)[0]
+    keep = np.nonzero(flat_targets != IGNORE_INDEX)[0]
     if keep.size == 0:
         return logits.sum() * 0.0
     selected = flat_logits[keep]

@@ -31,7 +31,6 @@ def train_mlm(
     seed: int = 0,
     adam_config: AdamConfig = AdamConfig(),
     mask_prob: float = 0.15,
-    policy: tuple[float, float, float] = (0.8, 0.1, 0.1),
     params: dict[str, Tensor] | None = None,
     log_stream: IO[str] | None = None,
     dtype=np.float32,
@@ -58,7 +57,6 @@ def train_mlm(
             vocab,
             max_len=max_len,
             mask_prob=mask_prob,
-            policy=policy,
             seed=seed + 7919 * (step + 1),
         )
         zero_grads(params)

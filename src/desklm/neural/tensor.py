@@ -70,12 +70,10 @@ class Tensor:
 
     # -- graph traversal ------------------------------------------------
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
-        """Accumulate gradients of this (scalar) value into the graph."""
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without seed requires a scalar")
-            seed = np.ones_like(self.data)
+    def backward(self) -> None:
+        """Accumulate gradients of this scalar value into the graph."""
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar")
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -92,7 +90,7 @@ class Tensor:
             for parent in node._parents:
                 stack.append((parent, False))
 
-        self._accumulate(np.asarray(seed, dtype=self.data.dtype))
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -332,9 +330,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
     out = (x - shift).exp().sum(axis=axis, keepdims=True).log() + shift
-    if not keepdims:
-        out = out.reshape(tuple(np.delete(out.shape, axis)))
-    return out
+    return out.reshape(tuple(np.delete(out.shape, axis)))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from desklm import batching
 from desklm.batching import (
     IGNORE_INDEX,
+    MASK_POLICY,
     Sample,
     apply_dynamic_masking,
     build_mlm_batch,
@@ -86,11 +88,10 @@ class TestMasking:
         assert positions == ()
         assert (targets == IGNORE_INDEX).all()
 
-    def test_degenerate_policy_masks_everything(self, vocab):
+    def test_degenerate_policy_masks_everything(self, vocab, monkeypatch):
+        monkeypatch.setattr(batching, "MASK_POLICY", (1.0, 0.0, 0.0))
         sample = self._sample(vocab)
-        ids, targets, positions = apply_dynamic_masking(
-            sample, vocab, mask_prob=1.0, policy=(1.0, 0.0, 0.0), seed=1
-        )
+        ids, targets, positions = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=1)
         eligible = [p for p, i in enumerate(sample.ids) if i not in set(vocab.special_tokens)]
         assert list(positions) == eligible
         assert all(ids[p] == vocab.special_tokens.mask for p in eligible)
@@ -135,6 +136,30 @@ class TestMasking:
         assert total >= 100_000
         rate = selected / total
         assert 0.143 <= rate <= 0.157
+
+
+    def test_policy_shares_binomial_bound(self, vocab):
+        # Every eligible position is selected; 10,000 of them, and 5
+        # binomial sigmas around the masked and the changed share.  A
+        # random id equals the original once per non-special id.
+        sample = self._sample(vocab, n=1000)
+        random_ids = len(vocab.tokens) - len(vocab.special_tokens)
+        mask = vocab.special_tokens.mask
+        masked = changed = total = 0
+        for seed in range(10):
+            ids, _, positions = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=seed)
+            for p in positions:
+                masked += int(ids[p] == mask)
+                changed += int(ids[p] != mask and ids[p] != sample.ids[p])
+            total += len(positions)
+        assert total == 10_000
+        expected = {
+            "masked": (masked, MASK_POLICY[0]),
+            "changed": (changed, MASK_POLICY[1] * (1 - 1 / random_ids)),
+        }
+        for name, (count, p) in expected.items():
+            sigma = (p * (1 - p) / total) ** 0.5
+            assert abs(count / total - p) <= 5 * sigma, name
 
 
 class TestBatchAndSerialization:

@@ -1,10 +1,13 @@
 """Tests for the CoNLL 2018 style evaluation."""
 
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from desklm.corpus import ingest_conllu
-from desklm.metrics.conllu_eval import ConlluEvalError, eval_conllu
+from desklm.metrics.conllu_eval import ConlluEvalError, _strip_spaces, eval_conllu
 
 
 def _corpus(text: str):
@@ -113,6 +116,12 @@ class TestTokenizationMismatch:
         assert (report.uas.correct, report.las.correct) == (2, 2)
         # The same word without the separator aligns one to one.
         assert eval_conllu(gold, _corpus(SYSTEM_MERGED)).upos.correct == 3
+
+    def test_stripped_characters_are_exactly_the_space_separators(self):
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        expected = "".join(c for c in everything if unicodedata.category(c) != "Zs")
+        assert len(everything) - len(expected) == 17
+        assert _strip_spaces(everything) == expected
 
     def test_differing_raw_text_is_error(self):
         other = GOLD_SPLIT.replace("Vlak", "Vlk")

@@ -1,11 +1,17 @@
-"""Every desklm module imports cleanly on its own, in a fresh module table."""
+"""Every desklm module imports cleanly on its own, in a fresh module table,
+and every installed script names a function that exists."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import desklm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # One interpreter for all modules: dropping every desklm* entry from
 # sys.modules before each import makes each one a first import, which is
@@ -34,3 +40,12 @@ def test_each_module_imports_on_its_own():
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) >= 20
+
+
+def test_every_script_entry_point_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as stream:
+        scripts = tomllib.load(stream)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, function = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), function)), name

@@ -22,8 +22,7 @@ TEXT = (
 )
 STEPS = 6
 
-# Recorded from the training loop as it was before the masking policy,
-# the Adam options and the ignore index became constants.
+# Recorded before the masking policy and the ignore index became constants.
 GOLDEN_LOSSES = [
     5.706518517378015,
     5.605511612280282,

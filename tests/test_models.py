@@ -16,7 +16,6 @@ from desklm.heads.models import (
     TaggerData,
     TaggerModel,
 )
-from desklm.neural.optim import AdamConfig, AdamState, adam_step, collect_grads, zero_grads
 
 
 def _tagger():
@@ -99,19 +98,8 @@ TINY = FeaturizerConfig(word_dim=4, char_dim=3, char_hidden=3)
 STEPS = 20
 
 
-def _fit(model, sentences, steps=STEPS, lr=5e-2, seed=3):
-    """Single-sentence Adam steps in the training loop's order."""
-    state = AdamState()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    losses = []
-    for _ in range(steps):
-        sentence = sentences[int(rng.integers(0, len(sentences)))]
-        zero_grads(model.params)
-        loss = model.loss(sentence)
-        loss.backward()
-        adam_step(model.params, collect_grads(model.params), state, AdamConfig(), lr)
-        losses.append(float(loss.data))
-    return losses
+def _train(model):
+    return models.train(model, steps=STEPS, lr=5e-2, seed=3)
 
 
 def _digest(params):
@@ -267,28 +255,28 @@ GOLDEN_CONTEXTUAL_LOSS = 3.875173373436952
 class TestGoldenTraining:
     def test_tagger(self):
         model = _tagger_model()
-        assert _fit(model, TREEBANK) == GOLDEN_TAGGER_LOSSES
+        assert _train(model) == GOLDEN_TAGGER_LOSSES
         assert _digest(model.params) == GOLDEN_TAGGER_DIGEST
         predictions = [model.predict(s) for s in TREEBANK + [UNSEEN]]
         assert predictions == GOLDEN_TAGGER_PREDICTIONS
 
     def test_joint_parser(self):
         model = _parser_model()
-        assert _fit(model, TREEBANK) == GOLDEN_PARSER_LOSSES
+        assert _train(model) == GOLDEN_PARSER_LOSSES
         assert _digest(model.params) == GOLDEN_PARSER_DIGEST
         predictions = [model.predict(s) for s in TREEBANK + [UNSEEN]]
         assert predictions == GOLDEN_PARSER_PREDICTIONS
 
     def test_flat_ner(self):
         model = _flat_model()
-        assert _fit(model, FLAT_NER) == GOLDEN_FLAT_LOSSES
+        assert _train(model) == GOLDEN_FLAT_LOSSES
         assert _digest(model.params) == GOLDEN_FLAT_DIGEST
         predictions = [model.predict(s) for s in FLAT_NER + [UNSEEN]]
         assert predictions == GOLDEN_FLAT_PREDICTIONS
 
     def test_nested_ner(self):
         model = _nested_model()
-        assert _fit(model, NESTED_NER) == GOLDEN_NESTED_LOSSES
+        assert _train(model) == GOLDEN_NESTED_LOSSES
         assert _digest(model.params) == GOLDEN_NESTED_DIGEST
         predictions = [model.predict(s) for s in NESTED_NER + [UNSEEN]]
         assert predictions == GOLDEN_NESTED_PREDICTIONS
@@ -300,20 +288,6 @@ class TestGoldenTraining:
         sentence = TREEBANK[1]
         contextual = np.linspace(-1.0, 1.0, 2 * len(sentence)).reshape(len(sentence), 2)
         assert float(model.loss(sentence, contextual).data) == GOLDEN_CONTEXTUAL_LOSS
-
-
-class TestTrainLoop:
-    @pytest.mark.parametrize(
-        "make, golden",
-        [
-            (_tagger_model, GOLDEN_TAGGER_LOSSES),
-            (_parser_model, GOLDEN_PARSER_LOSSES),
-            (_flat_model, GOLDEN_FLAT_LOSSES),
-            (_nested_model, GOLDEN_NESTED_LOSSES),
-        ],
-    )
-    def test_train_reproduces_golden_losses(self, make, golden):
-        assert models.train(make(), steps=STEPS, lr=5e-2, seed=3) == golden
 
 
 class TestContextualFeatures:

@@ -7,12 +7,15 @@ import pytest
 
 from desklm.metrics.mrp import (
     FACETS,
+    NODE_LIMIT,
+    RESTARTS,
     McesAlignment,
     MrpEdge,
     MrpError,
     MrpGraph,
     MrpNode,
     _FacetIndex,
+    _hill_climb,
     _mapping_score,
     _Problem,
     mces_align,
@@ -37,6 +40,14 @@ def _brute_force_best(gold: MrpGraph, system: MrpGraph) -> int:
             mapping = dict(zip(chosen, image))
             best = max(best, _mapping_score(gold_index, system_index, mapping))
     return best
+
+
+def _hill_climb_alignment(gold: MrpGraph, system: MrpGraph, seed: int) -> McesAlignment:
+    """The hill-climber's alignment of any pair, under ``seed``."""
+    gold_index, system_index = _FacetIndex.build(gold), _FacetIndex.build(system)
+    problem = _Problem.build(gold, gold_index, system, system_index)
+    mapping = _hill_climb(problem, RESTARTS, seed)
+    return McesAlignment(mapping, _mapping_score(gold_index, system_index, mapping), exact=False)
 
 
 def _random_graph(rng: random.Random, graph_id: str, max_nodes: int = 5) -> MrpGraph:
@@ -207,6 +218,30 @@ class TestMcesAlign:
             assert alignment.exact
             assert alignment.matched_items == _brute_force_best(gold, system), trial
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_edgeless_system_graph_at_the_node_limit(self, seed):
+        # Ten gold nodes with edges against ten system nodes without any:
+        # no edge group can match, so the optimum is the best assignment
+        # of single-node scores, found by dynamic programming over the set
+        # of system nodes used.
+        rng = random.Random(seed)
+        gold = _dense_graph(rng, "g", NODE_LIMIT)
+        dense = _dense_graph(rng, "s", NODE_LIMIT)
+        system = MrpGraph("s", dense.nodes, (), dense.tops)
+        gold_index, system_index = _FacetIndex.build(gold), _FacetIndex.build(system)
+        best = {0: 0}
+        for g in (n.id for n in gold.nodes):
+            scores = [_mapping_score(gold_index, system_index, {g: n.id}) for n in system.nodes]
+            step = dict(best)
+            for used, score in best.items():
+                for bit, value in enumerate(scores):
+                    if not used >> bit & 1:
+                        step[used | 1 << bit] = max(step.get(used | 1 << bit, 0), score + value)
+            best = step
+        alignment = mces_align(gold, system)
+        assert alignment.exact
+        assert alignment.matched_items == max(best.values())
+
     def test_label_permutation_recovered(self):
         gold = MrpGraph(
             id="g",
@@ -221,21 +256,19 @@ class TestMcesAlign:
 
     def test_beyond_limit_uses_hill_climbing(self):
         rng = random.Random(11)
-        gold = _random_graph(rng, "g", max_nodes=5)
-        alignment = mces_align(gold, gold, node_limit=2)
+        gold = _dense_graph(rng, "g", NODE_LIMIT + 1)
+        alignment = mces_align(gold, gold)
         assert not alignment.exact
         # Identity is optimal for a self-comparison; hill climbing must find
         # a mapping matching every item.
-        exact = mces_align(gold, gold)
-        assert alignment.matched_items == exact.matched_items
+        index = _FacetIndex.build(gold)
+        assert alignment.matched_items == sum(index.totals().values())
 
     def test_hill_climbing_deterministic(self):
         rng = random.Random(13)
         gold = _random_graph(rng, "g")
         system = _random_graph(rng, "s")
-        a = mces_align(gold, system, node_limit=0, seed=5)
-        b = mces_align(gold, system, node_limit=0, seed=5)
-        assert a == b
+        assert _hill_climb_alignment(gold, system, 5) == _hill_climb_alignment(gold, system, 5)
 
 
 class TestIncrementalScore:
@@ -296,7 +329,7 @@ class TestGoldenMappings:
         rng = random.Random(21)
         gold = _dense_graph(rng, "g", 12)
         system = _dense_graph(rng, "s", 11)
-        assert mces_align(gold, system, node_limit=0, seed=3) == McesAlignment(
+        assert _hill_climb_alignment(gold, system, 3) == McesAlignment(
             mapping={41: 26, 38: 9, 26: 40, 30: 1, 11: 16, 44: 8, 10: 37, 13: 6, 18: 11,
                      32: 41, 46: 25},
             matched_items=22,

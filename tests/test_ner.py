@@ -27,12 +27,12 @@ from desklm.neural.gradcheck import gradient_check
 from desklm.neural.tensor import Tensor
 
 
-def _enumerate_log_partition(emissions, transitions, start=None):
+def _enumerate_log_partition(emissions, transitions, start):
     """Oracle: log-sum-exp over all L^n paths, enumerated explicitly."""
     length, labels = emissions.shape
     scores = []
     for path in itertools.product(range(labels), repeat=length):
-        score = emissions[0][path[0]] + (start[path[0]] if start is not None else 0.0)
+        score = emissions[0][path[0]] + start[path[0]]
         for t in range(1, length):
             score += transitions[path[t - 1]][path[t]] + emissions[t][path[t]]
         scores.append(score)
@@ -40,11 +40,11 @@ def _enumerate_log_partition(emissions, transitions, start=None):
     return m + math.log(sum(math.exp(s - m) for s in scores))
 
 
-def _enumerate_best_path(emissions, transitions, start=None):
+def _enumerate_best_path(emissions, transitions, start):
     length, labels = emissions.shape
     best_path, best_score = None, -math.inf
     for path in itertools.product(range(labels), repeat=length):
-        score = emissions[0][path[0]] + (start[path[0]] if start is not None else 0.0)
+        score = emissions[0][path[0]] + start[path[0]]
         for t in range(1, length):
             score += transitions[path[t - 1]][path[t]] + emissions[t][path[t]]
         if score > best_score:
@@ -56,7 +56,9 @@ class TestCrf:
     def test_all_zero_scores_partition_is_n_log_l(self):
         for n, labels in [(1, 2), (3, 3), (5, 4)]:
             value = crf_log_partition(
-                Tensor(np.zeros((n, labels))), Tensor(np.zeros((labels, labels)))
+                Tensor(np.zeros((n, labels))),
+                Tensor(np.zeros((labels, labels))),
+                Tensor(np.zeros(labels)),
             )
             assert float(value.data) == pytest.approx(n * math.log(labels), rel=1e-12)
 
@@ -64,18 +66,20 @@ class TestCrf:
         rng = np.random.RandomState(0)
         emissions = rng.randn(3, 3)
         transitions = rng.randn(3, 3)
-        ours = crf_log_partition(Tensor(emissions), Tensor(transitions))
-        oracle = _enumerate_log_partition(emissions, transitions)
+        start = rng.randn(3)
+        ours = crf_log_partition(Tensor(emissions), Tensor(transitions), Tensor(start))
+        oracle = _enumerate_log_partition(emissions, transitions, start)
         assert float(ours.data) == pytest.approx(oracle, abs=1e-10)
 
     def test_decode_matches_enumeration(self):
         rng = np.random.RandomState(1)
         emissions = rng.randn(3, 3)
         transitions = rng.randn(3, 3)
-        path = crf_decode(emissions, transitions)
-        oracle_path, oracle_score = _enumerate_best_path(emissions, transitions)
+        start = rng.randn(3)
+        path = crf_decode(emissions, transitions, start)
+        oracle_path, oracle_score = _enumerate_best_path(emissions, transitions, start)
         score = float(
-            crf_path_score(Tensor(emissions), Tensor(transitions), path).data
+            crf_path_score(Tensor(emissions), Tensor(transitions), path, Tensor(start)).data
         )
         assert score == pytest.approx(oracle_score, abs=1e-10)
         assert path == oracle_path
@@ -108,12 +112,15 @@ class TestCrf:
             n, labels = rng.randint(1, 5), rng.randint(2, 4)
             emissions = rng.randn(n, labels)
             transitions = rng.randn(labels, labels)
+            start = Tensor(rng.randn(labels))
             partition = float(
-                crf_log_partition(Tensor(emissions), Tensor(transitions)).data
+                crf_log_partition(Tensor(emissions), Tensor(transitions), start).data
             )
             for path in itertools.product(range(labels), repeat=n):
                 score = float(
-                    crf_path_score(Tensor(emissions), Tensor(transitions), list(path)).data
+                    crf_path_score(
+                        Tensor(emissions), Tensor(transitions), list(path), start
+                    ).data
                 )
                 assert partition >= score - 1e-9
 
@@ -134,7 +141,9 @@ class TestCrf:
 
     def test_gold_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            crf_loss(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))), [0])
+            crf_loss(
+                Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))), [0], Tensor(np.zeros(2))
+            )
 
 
 class TestBio:
