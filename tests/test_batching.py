@@ -137,7 +137,6 @@ class TestMasking:
         rate = selected / total
         assert 0.143 <= rate <= 0.157
 
-
     def test_policy_shares_binomial_bound(self, vocab):
         # Every eligible position is selected; 10,000 of them, and 5
         # binomial sigmas around the masked and the changed share.  A

@@ -235,8 +235,9 @@ class TestMcesAlign:
             step = dict(best)
             for used, score in best.items():
                 for bit, value in enumerate(scores):
-                    if not used >> bit & 1:
-                        step[used | 1 << bit] = max(step.get(used | 1 << bit, 0), score + value)
+                    key = used | 1 << bit
+                    if key != used:
+                        step[key] = max(step.get(key, 0), score + value)
             best = step
         alignment = mces_align(gold, system)
         assert alignment.exact
