@@ -1,7 +1,5 @@
 """Golden test for the masked-LM training loop."""
 
-import hashlib
-
 import numpy as np
 
 from desklm.batching import pack_full_sentences
@@ -10,6 +8,8 @@ from desklm.corpus import ingest_plaintext
 from desklm.neural.layers import TransformerConfig
 from desklm.neural.mlm import train_mlm
 from desklm.neural.schedule import ScheduleConfig
+
+from test_models import _digest
 
 TEXT = (
     "Pes štěká na kočku .\n"
@@ -32,16 +32,6 @@ GOLDEN_LOSSES = [
     5.667370576818101,
 ]
 GOLDEN_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192d424"
-
-
-def _digest(params):
-    """SHA-256 over parameter names, shapes, dtypes and raw bytes."""
-    h = hashlib.sha256()
-    for name in sorted(params):
-        data = params[name].data
-        h.update(f"{name}:{data.shape}:{data.dtype};".encode())
-        h.update(np.ascontiguousarray(data).tobytes())
-    return h.hexdigest()
 
 
 def _run():
