@@ -290,6 +290,20 @@ class TestGoldenTraining:
         assert float(model.loss(sentence, contextual).data) == GOLDEN_CONTEXTUAL_LOSS
 
 
+class TestTrainLoop:
+    @pytest.mark.parametrize(
+        "make, golden",
+        [
+            (_tagger_model, GOLDEN_TAGGER_LOSSES),
+            (_parser_model, GOLDEN_PARSER_LOSSES),
+            (_flat_model, GOLDEN_FLAT_LOSSES),
+            (_nested_model, GOLDEN_NESTED_LOSSES),
+        ],
+    )
+    def test_train_reproduces_golden_losses(self, make, golden):
+        assert models.train(make(), steps=STEPS, lr=5e-2, seed=3) == golden
+
+
 class TestContextualFeatures:
     def _featurizer(self, dtype=np.float64, contextual_dim=2):
         config = FeaturizerConfig(
