@@ -1,5 +1,9 @@
 """Tests for byte-level BPE training, encoding and persistence."""
 
+import hashlib
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +20,27 @@ from desklm.bbpe import (
 )
 from desklm.corpus import Corpus, ingest_plaintext
 
+TINY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "tiny_corpus.txt"
+CZECH_LETTERS = "aábcčdďeéěfhiíjklmnňoóprřsštťuúůvyýzž"
+
 
 def _byte_id(ch: str) -> int:
     return FIRST_BYTE_ID + ord(ch)
+
+
+def _vocab_digest(vocab) -> str:
+    return hashlib.sha256("\0".join(save_vocab(vocab)).encode("utf-8")).hexdigest()
+
+
+def _random_corpus(seed: int, lexicon: int = 3000, sentences: int = 1500) -> Corpus:
+    """Random Czech-letter words, 3-12 per line, drawn with weight rank**-0.6."""
+    rng = random.Random(seed)
+    words = ["".join(rng.choice(CZECH_LETTERS) for _ in range(rng.randint(1, 8)))
+             for _ in range(lexicon)]
+    weights = [(rank + 1) ** -0.6 for rank in range(lexicon)]
+    lines = [" ".join(rng.choices(words, weights, k=rng.randint(3, 12)))
+             for _ in range(sentences)]
+    return ingest_plaintext("\n".join(lines).encode("utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +176,29 @@ class TestPersistence:
         loaded = load_vocab(*save_vocab(czech_vocab))
         held_out = "ďábelské ódy zněly po louce"
         assert encode(loaded, held_out) == encode(czech_vocab, held_out)
+
+
+class TestGoldenMergeTables:
+    """SHA-256 of ``save_vocab`` output, recorded with the full-recount trainer."""
+
+    TINY = {
+        261: (0, "a86e0302ea391f3a1468009430bf87e758f493069b74445e19281fc217c0c4b9"),
+        300: (39, "ea5bbc9bd9b4ff85a9cd71a1e51d7cdfd1a579fa19492bc838dd5f8e10ae892e"),
+        400: (139, "8d96e64f0af7b04b6af904dd8641dbe12980619add727c51fc1bc9f547822b2b"),
+        52000: (149, "38bb809815c158e033ca9d95eee489d1916a78f7f398fb6bc5370d2ba98d14be"),
+    }
+
+    @pytest.mark.parametrize("cap", sorted(TINY))
+    def test_tiny_corpus(self, cap):
+        vocab = train_bbpe(ingest_plaintext(TINY_CORPUS.read_bytes()), vocab_cap=cap)
+        assert (len(vocab.merges), _vocab_digest(vocab)) == self.TINY[cap]
+
+    def test_random_corpus_of_3k_word_types(self):
+        corpus = _random_corpus(seed=0)
+        assert len({(i > 0, form) for s in corpus.sentences()
+                    for i, form in enumerate(s.forms)}) == 3226
+        vocab = train_bbpe(corpus, vocab_cap=1500)
+        assert len(vocab.merges) == 1239
+        assert _vocab_digest(vocab) == (
+            "bae5392c8b98e64906ca09b373bbc44dcb9e81d4fc92d575dc3408880b30cc01"
+        )
