@@ -5,13 +5,21 @@ exactly through encode/decode.  Pre-tokenization is a simplified
 whitespace rule: a pre-token is an optional single leading space plus a
 run of non-whitespace; remaining whitespace runs stand alone.  Merges
 never cross pre-token boundaries.  No unicode normalization is applied.
+
+Training counts adjacent pairs over the distinct pre-tokens once and then
+updates the counts per merge (Sennrich et al. 2016; SentencePiece): an
+index from each pair to the pre-tokens holding it limits every merge to
+the pre-tokens it changes, and a heap with lazy deletion finds the next
+pair.  The cost per merge follows the pre-tokens it touches, not the
+corpus size.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
@@ -54,6 +62,13 @@ class ByteVocab:
     )
 
     def __post_init__(self):
+        expected = FIRST_MERGE_ID + len(self.merges)
+        if len(self.tokens) != expected:
+            amount = "too few" if len(self.tokens) < expected else "too many"
+            raise BbpeError(
+                f"{amount} tokens: {len(self.tokens)} for {len(self.merges)} merges,"
+                f" expected {expected}"
+            )
         for i, raw in enumerate(SPECIAL_TOKEN_BYTES):
             if self.tokens[i] != raw:
                 raise BbpeError(f"special token {i} must be {raw!r}")
@@ -101,8 +116,19 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
     """Train the merge table on ``corpus`` up to ``vocab_cap`` tokens.
 
     The most frequent adjacent pair is merged each round; ties are broken
-    by the pair whose operand tokens were created earliest, then by
-    lexicographic byte order.  Pairs occurring only once are never merged.
+    by the pair whose operand tokens were created earliest (the larger of
+    the two creation epochs, 0 for a byte and n for the n-th merge), then
+    by the left and then the right operand's bytes.  Pairs occurring only
+    once are never merged.
+
+    Pair counts are kept incrementally.  A merge visits only the
+    pre-tokens that hold its pair: each one's adjacent pairs are
+    subtracted, the merge is applied left to right without overlap, and
+    the new adjacent pairs are added back.  Recounting whole pre-tokens
+    keeps overlapping runs exact (``"aaa"`` holds ``(a, a)`` twice but
+    merges once).  The heap is keyed ``(-count, epoch, left bytes, right
+    bytes)``; the last three never change for a pair, so an entry is
+    stale exactly when its count differs from the live one.
     """
     if vocab_cap < 256 + NUM_SPECIALS:
         raise ValueError(f"vocab_cap must be >= {256 + NUM_SPECIALS}")
@@ -110,7 +136,7 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
         raise BbpeError("cannot train on an empty corpus")
 
     tokens: list[bytes] = list(SPECIAL_TOKEN_BYTES) + [bytes([b]) for b in range(256)]
-    creation_epoch: dict[int, int] = {i: 0 for i in range(len(tokens))}
+    creation_epoch: list[int] = [0] * len(tokens)
     merges: list[tuple[int, int, int]] = []
 
     words: list[list[int]] = []
@@ -119,30 +145,58 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
         words.append([FIRST_BYTE_ID + b for b in pretoken.encode("utf-8")])
         word_counts.append(count)
 
+    pair_counts: Counter = Counter()
+    pair_words: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+    for index, (word, count) in enumerate(zip(words, word_counts)):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] += count
+            pair_words[pair].add(index)
+
+    def heap_entry(pair: tuple[int, int]) -> tuple:
+        left, right = pair
+        epoch = max(creation_epoch[left], creation_epoch[right])
+        return (-pair_counts[pair], epoch, tokens[left], tokens[right], pair)
+
+    # A pair below 2 is never merged, so only pairs at 2 or more are pushed;
+    # an empty heap means no pair occurs twice.
+    heap = [heap_entry(pair) for pair, count in pair_counts.items() if count >= 2]
+    heapq.heapify(heap)
+
     while len(tokens) < vocab_cap:
-        pair_counts: Counter = Counter()
-        for word, count in zip(words, word_counts):
-            for pair in zip(word, word[1:]):
-                pair_counts[pair] += count
-        if not pair_counts:
+        while heap:
+            neg_count, *_, best = heapq.heappop(heap)
+            if pair_counts[best] == -neg_count:
+                break
+        else:
             break
-        best_count = max(pair_counts.values())
-        if best_count < 2:
-            break
-        best = min(
-            (pair for pair, c in pair_counts.items() if c == best_count),
-            key=lambda p: (
-                max(creation_epoch[p[0]], creation_epoch[p[1]]),
-                tokens[p[0]],
-                tokens[p[1]],
-            ),
-        )
         new_id = len(tokens)
         tokens.append(tokens[best[0]] + tokens[best[1]])
         merges.append((best[0], best[1], new_id))
-        creation_epoch[new_id] = len(merges)
-        for word in words:
+        creation_epoch.append(len(merges))
+
+        delta: Counter = Counter()
+        for index in list(pair_words[best]):
+            word, count = words[index], word_counts[index]
+            old_pairs = list(zip(word, word[1:]))
             _apply_merge_inplace(word, best, new_id)
+            new_pairs = list(zip(word, word[1:]))
+            for pair in old_pairs:
+                delta[pair] -= count
+            for pair in new_pairs:
+                delta[pair] += count
+            for pair in set(old_pairs).difference(new_pairs):
+                pair_words[pair].discard(index)
+            for pair in set(new_pairs).difference(old_pairs):
+                pair_words[pair].add(index)
+
+        for pair, change in delta.items():
+            if not change:
+                continue
+            pair_counts[pair] += change
+            if pair_counts[pair] == 0:
+                del pair_counts[pair], pair_words[pair]
+            elif pair_counts[pair] >= 2:
+                heapq.heappush(heap, heap_entry(pair))
 
     return ByteVocab(tokens=tuple(tokens), merges=tuple(merges))
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,14 +12,18 @@ from desklm.bbpe import (
     FIRST_BYTE_ID,
     FIRST_MERGE_ID,
     NUM_SPECIALS,
+    SPECIAL_TOKEN_BYTES,
     BbpeError,
+    ByteVocab,
+    _apply_merge_inplace,
+    _corpus_pretoken_counts,
     decode,
     encode,
     load_vocab,
     save_vocab,
     train_bbpe,
 )
-from desklm.corpus import Corpus, ingest_plaintext
+from desklm.corpus import Corpus, Document, Sentence, Token, ingest_plaintext
 
 TINY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "tiny_corpus.txt"
 CZECH_LETTERS = "aábcčdďeéěfhiíjklmnňoóprřsštťuúůvyýzž"
@@ -41,6 +46,51 @@ def _random_corpus(seed: int, lexicon: int = 3000, sentences: int = 1500) -> Cor
     lines = [" ".join(rng.choices(words, weights, k=rng.randint(3, 12)))
              for _ in range(sentences)]
     return ingest_plaintext("\n".join(lines).encode("utf-8"))
+
+
+def _reference_merges(corpus: Corpus, vocab_cap: int) -> tuple:
+    """The full-recount trainer: every pair over every pre-token type per merge."""
+    tokens = list(SPECIAL_TOKEN_BYTES) + [bytes([b]) for b in range(256)]
+    epoch = [0] * len(tokens)
+    merges = []
+    counted = _corpus_pretoken_counts(corpus)
+    words = [[FIRST_BYTE_ID + b for b in pretoken.encode("utf-8")] for pretoken in counted]
+    while len(tokens) < vocab_cap:
+        pair_counts = Counter()
+        for word, count in zip(words, counted.values()):
+            for pair in zip(word, word[1:]):
+                pair_counts[pair] += count
+        best_count = max(pair_counts.values(), default=0)
+        if best_count < 2:
+            break
+        best = min(
+            (pair for pair, count in pair_counts.items() if count == best_count),
+            key=lambda p: (max(epoch[p[0]], epoch[p[1]]), tokens[p[0]], tokens[p[1]]),
+        )
+        merges.append((*best, len(tokens)))
+        tokens.append(tokens[best[0]] + tokens[best[1]])
+        epoch.append(len(merges))
+        for word in words:
+            _apply_merge_inplace(word, best, len(tokens) - 1)
+    return tuple(merges)
+
+
+def _edge_corpus(kind: str, seed: int) -> Corpus:
+    """40 sentences of 2-8 forms, built to stress one corner of the trainer."""
+    rng = random.Random(f"{kind}/{seed}")
+    if kind == "runs":  # one-byte runs ("aaaa") and repeated bigrams ("ababab")
+        form = lambda: rng.choice(["a", "b", "ab", "ba", "aab"]) * rng.randint(1, 6)
+    elif kind == "ties":  # few letters, uniform choice: many equal pair counts
+        form = lambda: "".join(rng.choice("xyz") for _ in range(rng.randint(1, 4)))
+    elif kind == "czech":  # two- and three-byte UTF-8 characters
+        form = lambda: "".join(rng.choice("čěšžřůúý€a") for _ in range(rng.randint(1, 5)))
+    else:  # "whitespace": forms that are whitespace runs become their own pre-tokens
+        form = lambda: rng.choice(["a", "ab", " ", "\t", "\t\t", "\u00a0", "  \t"])
+    sentences = tuple(
+        Sentence(tuple(Token(form=form()) for _ in range(rng.randint(2, 8))))
+        for _ in range(40)
+    )
+    return Corpus((Document("doc1", sentences),))
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +154,25 @@ class TestTraining:
                 czech_vocab.tokens[result]
                 == czech_vocab.tokens[left] + czech_vocab.tokens[right]
             )
+
+
+class TestReferenceEquivalence:
+    """The incremental trainer against the full-recount loop above."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["runs", "ties", "czech", "whitespace"])
+    def test_merge_tables_match(self, kind, seed):
+        corpus = _edge_corpus(kind, seed)
+        reached = train_bbpe(corpus, vocab_cap=FIRST_MERGE_ID + 12)
+        assert len(reached.merges) == 12
+        assert reached.merges == _reference_merges(corpus, FIRST_MERGE_ID + 12)
+        stopped = train_bbpe(corpus, vocab_cap=52000)
+        assert FIRST_MERGE_ID + len(stopped.merges) < 52000
+        assert stopped.merges == _reference_merges(corpus, 52000)
+
+    def test_whitespace_only_pretokens_are_trained(self):
+        counted = _corpus_pretoken_counts(_edge_corpus("whitespace", 1))
+        assert any(pretoken.isspace() and len(pretoken) > 1 for pretoken in counted)
 
 
 class TestEncodeDecode:
@@ -171,6 +240,18 @@ class TestPersistence:
         bad_merges = f"{10 ** 6}\t0\t{FIRST_MERGE_ID}\n"
         with pytest.raises(BbpeError, match="unknown token reference"):
             load_vocab(vocab_text, bad_merges)
+
+    def test_truncated_vocab_file_is_format_error(self):
+        with pytest.raises(BbpeError, match="too few tokens"):
+            load_vocab("0\t3c733e\n", "")
+
+    def test_token_without_a_merge_is_rejected(self, abab_vocab):
+        base = abab_vocab.tokens[:FIRST_MERGE_ID]
+        with pytest.raises(BbpeError, match="too many tokens"):
+            ByteVocab(tokens=base + (b"zz",), merges=())
+        vocab_text, _ = save_vocab(ByteVocab(tokens=base, merges=()))
+        with pytest.raises(BbpeError, match="too many tokens"):
+            load_vocab(vocab_text + f"{FIRST_MERGE_ID}\t{b'zz'.hex()}\n", "")
 
     def test_loaded_vocab_encodes_identically(self, czech_vocab):
         loaded = load_vocab(*save_vocab(czech_vocab))
