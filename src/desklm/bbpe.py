@@ -78,6 +78,8 @@ class ByteVocab:
         for n, (left, right, result) in enumerate(self.merges):
             if result != FIRST_MERGE_ID + n:
                 raise BbpeError(f"merge {n} result id must be {FIRST_MERGE_ID + n}")
+            if max(left, right) >= result:
+                raise BbpeError(f"merge {n} uses a token created by a later merge")
             if self.tokens[result] != self.tokens[left] + self.tokens[right]:
                 raise BbpeError(f"merge {n} output does not concatenate its operands")
 

@@ -37,14 +37,15 @@ def _vocab_digest(vocab) -> str:
     return hashlib.sha256("\0".join(save_vocab(vocab)).encode("utf-8")).hexdigest()
 
 
-def _random_corpus(seed: int, lexicon: int = 3000, sentences: int = 1500) -> Corpus:
-    """Random Czech-letter words, 3-12 per line, drawn with weight rank**-0.6."""
+def _random_corpus(seed: int) -> Corpus:
+    """1,500 lines of 3-12 words from 3,000 random Czech-letter words of
+    1-8 letters, the word of rank r drawn with weight (r + 1) ** -0.6."""
     rng = random.Random(seed)
     words = ["".join(rng.choice(CZECH_LETTERS) for _ in range(rng.randint(1, 8)))
-             for _ in range(lexicon)]
-    weights = [(rank + 1) ** -0.6 for rank in range(lexicon)]
+             for _ in range(3000)]
+    weights = [(rank + 1) ** -0.6 for rank in range(len(words))]
     lines = [" ".join(rng.choices(words, weights, k=rng.randint(3, 12)))
-             for _ in range(sentences)]
+             for _ in range(1500)]
     return ingest_plaintext("\n".join(lines).encode("utf-8"))
 
 
@@ -170,7 +171,7 @@ class TestReferenceEquivalence:
         assert FIRST_MERGE_ID + len(stopped.merges) < 52000
         assert stopped.merges == _reference_merges(corpus, 52000)
 
-    def test_whitespace_only_pretokens_are_trained(self):
+    def test_whitespace_corpus_has_whitespace_only_pretokens(self):
         counted = _corpus_pretoken_counts(_edge_corpus("whitespace", 1))
         assert any(pretoken.isspace() and len(pretoken) > 1 for pretoken in counted)
 
@@ -253,6 +254,15 @@ class TestPersistence:
         with pytest.raises(BbpeError, match="too many tokens"):
             load_vocab(vocab_text + f"{FIRST_MERGE_ID}\t{b'zz'.hex()}\n", "")
 
+    def test_merge_using_a_later_token_is_rejected(self, abab_vocab):
+        base = abab_vocab.tokens[:FIRST_MERGE_ID]
+        a, b, c = (_byte_id(ch) for ch in "abc")
+        with pytest.raises(BbpeError, match="created by a later merge"):
+            ByteVocab(
+                tokens=base + (b"abc", b"ab"),
+                merges=((FIRST_MERGE_ID + 1, c, FIRST_MERGE_ID), (a, b, FIRST_MERGE_ID + 1)),
+            )
+
     def test_loaded_vocab_encodes_identically(self, czech_vocab):
         loaded = load_vocab(*save_vocab(czech_vocab))
         held_out = "ďábelské ódy zněly po louce"
@@ -276,8 +286,7 @@ class TestGoldenMergeTables:
 
     def test_random_corpus_of_3k_word_types(self):
         corpus = _random_corpus(seed=0)
-        assert len({(i > 0, form) for s in corpus.sentences()
-                    for i, form in enumerate(s.forms)}) == 3226
+        assert len(_corpus_pretoken_counts(corpus)) == 3226
         vocab = train_bbpe(corpus, vocab_cap=1500)
         assert len(vocab.merges) == 1239
         assert _vocab_digest(vocab) == (
