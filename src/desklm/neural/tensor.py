@@ -65,8 +65,12 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A cast copy in the parameter's own memory layout: matmul
+            # results depend on the layout of the gradient they read.
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
+        else:
+            self.grad += grad
 
     # -- graph traversal ------------------------------------------------
 
