@@ -9,6 +9,7 @@ from desklm.neural.layers import TransformerConfig
 from desklm.neural.mlm import train_mlm
 from desklm.neural.schedule import ScheduleConfig
 
+import reference_ops
 from test_models import _digest
 
 TEXT = (
@@ -48,6 +49,13 @@ def _run():
 
 
 def test_train_mlm_golden_losses_and_parameters():
+    params, losses = _run()
+    assert losses == GOLDEN_LOSSES
+    assert _digest(params) == GOLDEN_DIGEST
+
+
+def test_reference_ops_reproduce_recorded_goldens(monkeypatch):
+    reference_ops.install(monkeypatch)
     params, losses = _run()
     assert losses == GOLDEN_LOSSES
     assert _digest(params) == GOLDEN_DIGEST

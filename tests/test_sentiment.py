@@ -16,6 +16,8 @@ from desklm.heads.sentiment import (
 )
 from desklm.neural.layers import TransformerConfig, init_transformer_params
 
+import reference_ops
+
 TEXTS = [
     ("p", "super film, doporučuji"),
     ("n", "hrozná nuda, nedoporučuji"),
@@ -48,6 +50,26 @@ def _encoder():
     )
     params = init_transformer_params(config, seed=7, dtype=np.float64)
     return SentimentEncoder(config=config, params=params, vocab=vocab)
+
+
+def _train_fold():
+    encoder = _encoder()
+    items = _items()
+    id_lists = [encoder.item_ids(item.text) for item in items]
+    targets = np.array(
+        [sentiment.LABELS.index(item.label) for item in items], dtype=np.int64
+    )
+    return sentiment._train_one_fold(
+        encoder, id_lists, targets, list(range(10)), 1e-2, 11, 4, 5e-2, 0.5, 0.5
+    )
+
+
+def _fold_digest(params):
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(params[name].data.tobytes())
+    return h.hexdigest()
 
 
 PROTOCOL = dict(
@@ -88,17 +110,8 @@ class TestGoldenProtocol:
         assert (result.test_mean, result.test_std) == (GOLDEN_TEST_MEAN, GOLDEN_TEST_STD)
 
     def test_one_fold_parameters(self):
-        encoder = _encoder()
-        items = _items()
-        id_lists = [encoder.item_ids(item.text) for item in items]
-        targets = np.array(
-            [sentiment.LABELS.index(item.label) for item in items], dtype=np.int64
-        )
-        params = sentiment._train_one_fold(
-            encoder, id_lists, targets, list(range(10)), 1e-2, 11, 4, 5e-2, 0.5, 0.5
-        )
-        h = hashlib.sha256()
-        for name in sorted(params):
-            h.update(name.encode())
-            h.update(params[name].data.tobytes())
-        assert h.hexdigest() == GOLDEN_FOLD_DIGEST
+        assert _fold_digest(_train_fold()) == GOLDEN_FOLD_DIGEST
+
+    def test_reference_ops_reproduce_recorded_fold(self, monkeypatch):
+        reference_ops.install(monkeypatch)
+        assert _fold_digest(_train_fold()) == GOLDEN_FOLD_DIGEST
