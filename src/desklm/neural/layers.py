@@ -4,6 +4,10 @@ normalization, scalar mix, subword pooling and bidirectional GRU layers.
 All layers are pure functions of (params, inputs); parameters live in flat
 ``dict[str, Tensor]`` maps so the optimizer and checkpoints can treat them
 uniformly.  Weight matrices are initialized uniformly at +-1/sqrt(fan_in).
+
+The transformer runs on three fused ops, each one graph node with a
+hand-written backward pass: ``layer_norm`` here, and ``tensor.softmax``
+and ``Tensor.gelu``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..batching import IGNORE_INDEX
-from .tensor import Tensor, concat, log_softmax, softmax
+from .tensor import Tensor, _unbroadcast, concat, log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,35 @@ def init_transformer_params(
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize over the last dimension (population variance), then
-    apply the learned affine transform."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5) * gain + bias
+    apply the learned affine transform; one graph node.
+
+    The backward pass keeps ``normed`` and ``inv = 1/sigma`` and gives
+    ``inv * (gh - mean(gh) - normed * mean(gh * normed))`` with
+    ``gh = g * gain``.
+    """
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered * inv
+    out = Tensor(normed * gain.data + bias.data, parents=(x, gain, bias))
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            gh = g * gain.data
+            x._accumulate(
+                inv
+                * (
+                    gh
+                    - gh.mean(axis=-1, keepdims=True)
+                    - normed * (gh * normed).mean(axis=-1, keepdims=True)
+                )
+            )
+
+    out._backward = backward
+    return out
 
 
 def forward_transformer(

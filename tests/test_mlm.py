@@ -24,6 +24,7 @@ TEXT = (
 STEPS = 6
 
 # Recorded before the masking policy and the ignore index became constants.
+# The fused ops and the unfused reference ops both give these losses.
 GOLDEN_LOSSES = [
     5.706518517378015,
     5.605511612280282,
@@ -32,7 +33,10 @@ GOLDEN_LOSSES = [
     5.467069577890621,
     5.667370576818101,
 ]
-GOLDEN_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192d424"
+# Recorded with the fused layer norm, softmax and GELU.
+GOLDEN_DIGEST = "dd73ca527d2e32a79be1023dd585add73e63b9082527e2cc35e75a662f18cb44"
+# Recorded before the fusion; the reference ops reproduce it.
+REFERENCE_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192d424"
 
 
 def _run():
@@ -58,4 +62,13 @@ def test_reference_ops_reproduce_recorded_goldens(monkeypatch):
     reference_ops.install(monkeypatch)
     params, losses = _run()
     assert losses == GOLDEN_LOSSES
-    assert _digest(params) == GOLDEN_DIGEST
+    assert _digest(params) == REFERENCE_DIGEST
+
+
+def test_fused_ops_match_reference_ops(monkeypatch):
+    params, losses = _run()
+    reference_ops.install(monkeypatch)
+    reference_params, reference_losses = _run()
+    assert np.max(np.abs(np.subtract(losses, reference_losses))) <= 1e-9
+    for name, p in params.items():
+        assert np.max(np.abs(p.data - reference_params[name].data)) <= 1e-9, name

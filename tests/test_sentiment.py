@@ -83,7 +83,11 @@ GOLDEN_DEV_MEANS = {0.01: 6.666666666666667}
 GOLDEN_FOLDS = [(0, 0.0, 20.0), (1, 13.333333333333334, 18.18181818181818)]
 GOLDEN_TEST_MEAN = 19.09090909090909
 GOLDEN_TEST_STD = 0.9090909090909101
-GOLDEN_FOLD_DIGEST = 'b574211165983d3faa6757689e8346adb11df2c2b9c28fd1058c4d6677309011'
+# The one-fold digest was recorded with the fused layer norm, softmax and
+# GELU; the reference digest before the fusion, which the reference ops
+# reproduce.
+GOLDEN_FOLD_DIGEST = 'e18d32eed6b170b01a6cc9fdd2fa6a3b2da972ad2465e7b6efa4d620743ce084'
+REFERENCE_FOLD_DIGEST = 'b574211165983d3faa6757689e8346adb11df2c2b9c28fd1058c4d6677309011'
 
 
 class TestReader:
@@ -114,4 +118,11 @@ class TestGoldenProtocol:
 
     def test_reference_ops_reproduce_recorded_fold(self, monkeypatch):
         reference_ops.install(monkeypatch)
-        assert _fold_digest(_train_fold()) == GOLDEN_FOLD_DIGEST
+        assert _fold_digest(_train_fold()) == REFERENCE_FOLD_DIGEST
+
+    def test_fused_ops_match_reference_ops(self, monkeypatch):
+        params = _train_fold()
+        reference_ops.install(monkeypatch)
+        reference = _train_fold()
+        for name, p in params.items():
+            assert np.max(np.abs(p.data - reference[name].data)) <= 1e-9, name
