@@ -100,10 +100,13 @@ def _document_embeddings(
     id_lists: Sequence[Sequence[int]],
     frozen: bool,
 ) -> Tensor:
+    """First-position vectors of the final layer; with ``frozen`` the
+    encoder runs on constant views of ``params`` and builds no graph."""
+    if frozen:
+        params = {name: Tensor(p.data) for name, p in params.items()}
     input_ids, mask = _pad_batch(id_lists, vocab.special_tokens.pad)
     layers = forward_transformer(config, params, input_ids, pad_mask=mask)
-    first_position = layers[-1][:, 0, :]
-    return first_position.detach() if frozen else first_position
+    return layers[-1][:, 0, :]
 
 
 def _classifier_loss(embeddings: Tensor, params: dict[str, Tensor], targets: np.ndarray) -> Tensor:

@@ -29,6 +29,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _is_basic_index(key) -> bool:
+    """True for keys of ints, slices, ``None`` and ``...`` only, which
+    select each element at most once (numpy's basic indexing)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 class Tensor:
     """Array value with optional accumulated gradient."""
 
@@ -59,9 +72,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -152,31 +162,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data**2), other.shape)
-                )
-
-        out._backward = backward
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out = Tensor(self.data**exponent, parents=(self,))
-        out._backward = lambda g: self._accumulate(
-            g * exponent * self.data ** (exponent - 1)
-        )
-        return out
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul operands must have ndim >= 2")
@@ -258,8 +243,16 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out = Tensor(self.data[key], parents=(self,))
+        basic = _is_basic_index(key)
 
         def backward(g):
+            if basic:
+                # No repeated elements: add g into the selected view of the
+                # gradient, with no full-size scatter.
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[key] += g
+                return
             full = np.zeros_like(self.data)
             np.add.at(full, key, g)
             self._accumulate(full)
@@ -305,21 +298,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g[tuple(index)])
             offset += size
-
-    out._backward = backward
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stacking along a new ``axis``."""
-    tensors = list(tensors)
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-
-    def backward(g):
-        parts = np.moveaxis(g, axis, 0)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
-                t._accumulate(part)
 
     out._backward = backward
     return out

@@ -18,7 +18,9 @@ from desklm.neural.layers import (
     pool_subwords,
     scalar_mix,
 )
-from desklm.neural.tensor import Tensor
+from desklm.neural.tensor import Tensor, softmax
+
+import reference_ops
 
 
 TINY = TransformerConfig(
@@ -152,6 +154,64 @@ class TestLayerNorm:
             return (layer_norm(x, gain, bias, eps=1e-5) * weights).sum()
 
         assert gradient_check(f, {"x": x, "gain": gain, "bias": bias}).passed
+
+
+class TestFusedOps:
+    """The fused ops against finite differences and against the unfused
+    reference compositions, in float64."""
+
+    @staticmethod
+    def _forward_and_grads(op, inputs, weights):
+        for t in inputs.values():
+            t.zero_grad()
+        out = op()
+        (out * weights).sum().backward()
+        return out.data, {name: t.grad for name, t in inputs.items()}
+
+    def _check(self, fused, reference, inputs):
+        shape = fused().shape
+        weights = Tensor(np.random.RandomState(9).randn(*shape))
+        value, grads = self._forward_and_grads(fused, inputs, weights)
+        expected, expected_grads = self._forward_and_grads(reference, inputs, weights)
+        assert np.max(np.abs(value - expected)) <= 1e-12
+        for name in inputs:
+            assert np.max(np.abs(grads[name] - expected_grads[name])) <= 1e-12, name
+        report = gradient_check(lambda: (fused() * weights).sum(), inputs, tolerance=1e-6)
+        assert report.passed, report.failing()
+
+    def test_layer_norm(self):
+        rng = np.random.RandomState(1)
+        x = Tensor(rng.randn(2, 3, 6) * 3 + 1, requires_grad=True)
+        gain = Tensor(rng.randn(6), requires_grad=True)
+        bias = Tensor(rng.randn(6), requires_grad=True)
+        self._check(
+            lambda: layer_norm(x, gain, bias, eps=1e-5),
+            lambda: reference_ops.layer_norm(x, gain, bias, eps=1e-5),
+            {"x": x, "gain": gain, "bias": bias},
+        )
+
+    def test_softmax_with_a_padded_column(self):
+        rng = np.random.RandomState(2)
+        x = Tensor(rng.randn(2, 3, 5), requires_grad=True)
+        pad = Tensor(np.where(np.arange(5) == 4, -1e9, 0.0))
+        self._check(
+            lambda: softmax(x + pad, axis=-1),
+            lambda: reference_ops.softmax(x + pad, axis=-1),
+            {"x": x},
+        )
+        assert np.all(softmax(x + pad, axis=-1).data[..., 4] == 0.0)
+
+    def test_gelu(self):
+        x = Tensor(np.random.RandomState(3).randn(4, 7) * 2, requires_grad=True)
+        self._check(lambda: x.gelu(), lambda: reference_ops.gelu(x), {"x": x})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_keep_the_input_dtype(self, dtype):
+        rng = np.random.RandomState(4)
+        x = Tensor(rng.randn(2, 6).astype(dtype))
+        gain, bias = Tensor(np.ones(6, dtype=dtype)), Tensor(np.zeros(6, dtype=dtype))
+        outputs = [layer_norm(x, gain, bias), softmax(x, axis=-1), x.gelu()]
+        assert [out.data.dtype for out in outputs] == [np.dtype(dtype)] * 3
 
 
 class TestScalarMix:

@@ -1,13 +1,16 @@
-"""Golden test for the masked-LM training loop."""
+"""Golden, graph-size and dtype tests for the masked-LM training loop."""
 
 import numpy as np
+import pytest
 
 from desklm.batching import pack_full_sentences
 from desklm.bbpe import train_bbpe
 from desklm.corpus import ingest_plaintext
-from desklm.neural.layers import TransformerConfig
-from desklm.neural.mlm import train_mlm
+from desklm.neural import layers, mlm
+from desklm.neural.layers import TransformerConfig, init_transformer_params
+from desklm.neural.mlm import eval_masked_accuracy, train_mlm
 from desklm.neural.schedule import ScheduleConfig
+from desklm.neural.tensor import Tensor
 
 import reference_ops
 from test_models import _digest
@@ -39,16 +42,26 @@ GOLDEN_DIGEST = "dd73ca527d2e32a79be1023dd585add73e63b9082527e2cc35e75a662f18cb4
 REFERENCE_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192d424"
 
 
-def _run():
+# Tensor nodes one train_mlm step builds on this config with the fused ops
+# (the unfused reference ops build 101).
+FUSED_NODES_PER_STEP = 54
+
+
+def _setup():
     vocab = train_bbpe(ingest_plaintext(TEXT.encode()), vocab_cap=290)
     samples = pack_full_sentences(ingest_plaintext(TEXT.encode()), vocab, max_len=16)
     config = TransformerConfig(
         layers=1, hidden=8, heads=2, ff_dim=16, vocab_size=len(vocab.tokens), max_positions=16
     )
+    return vocab, samples, config
+
+
+def _run(steps=STEPS, dtype=np.float64, params=None):
+    vocab, samples, config = _setup()
     schedule = ScheduleConfig("polynomial_decay", 1e-2, warmup_steps=2, total_steps=STEPS)
     return train_mlm(
-        samples, vocab, config, schedule, STEPS, batch_size=3, seed=4, mask_prob=0.3,
-        dtype=np.float64,
+        samples, vocab, config, schedule, steps, batch_size=3, seed=4, mask_prob=0.3,
+        dtype=dtype, params=params,
     )
 
 
@@ -72,3 +85,66 @@ def test_fused_ops_match_reference_ops(monkeypatch):
     assert np.max(np.abs(np.subtract(losses, reference_losses))) <= 1e-9
     for name, p in params.items():
         assert np.max(np.abs(p.data - reference_params[name].data)) <= 1e-9, name
+
+
+def test_one_step_builds_at_most_the_fused_node_count(monkeypatch):
+    _, _, config = _setup()
+    params = init_transformer_params(config, seed=4, dtype=np.float64)
+    created = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    _run(steps=1, params=params)
+    assert len(created) <= FUSED_NODES_PER_STEP
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
+    outputs, incoming = [], []
+
+    def recording(op):
+        def wrapper(*args, **kwargs):
+            out = op(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(layers, "layer_norm", recording(layers.layer_norm))
+    monkeypatch.setattr(layers, "softmax", recording(layers.softmax))
+    monkeypatch.setattr(Tensor, "gelu", recording(Tensor.gelu))
+    accumulate = Tensor._accumulate
+
+    def checking(self, grad):
+        incoming.append(np.asarray(grad).dtype)
+        accumulate(self, grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", checking)
+    params, _ = _run(steps=1, dtype=dtype)
+    # One layer: ln1, softmax, ln2, gelu, then the MLM head's layer norm.
+    assert len(outputs) == 5
+    assert {out.data.dtype for out in outputs} == {np.dtype(dtype)}
+    assert {out.grad.dtype for out in outputs} == {np.dtype(dtype)}
+    assert set(incoming) == {np.dtype(dtype)}
+    assert {p.grad.dtype for p in params.values()} == {np.dtype(dtype)}
+
+
+def test_eval_masked_accuracy_builds_no_graph(monkeypatch):
+    captured = []
+
+    def capturing(*args, **kwargs):
+        outputs = layers.forward_transformer(*args, **kwargs)
+        captured.extend(outputs)
+        return outputs
+
+    monkeypatch.setattr(mlm, "forward_transformer", capturing)
+    vocab, samples, config = _setup()
+    params = init_transformer_params(config, seed=4, dtype=np.float64)
+    accuracy = eval_masked_accuracy(config, params, samples, vocab, seed=1, mask_prob=0.3)
+    assert captured
+    assert not any(t.requires_grad for t in captured)
+    assert 0.0 <= accuracy <= 1.0

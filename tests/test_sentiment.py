@@ -15,6 +15,7 @@ from desklm.heads.sentiment import (
     run_sentiment_protocol,
 )
 from desklm.neural.layers import TransformerConfig, init_transformer_params
+from desklm.neural.tensor import Tensor
 
 import reference_ops
 
@@ -126,3 +127,33 @@ class TestGoldenProtocol:
         reference = _train_fold()
         for name, p in params.items():
             assert np.max(np.abs(p.data - reference[name].data)) <= 1e-9, name
+
+
+def test_frozen_encoder_and_predict_build_no_graph(monkeypatch):
+    captured = []
+    forward = sentiment.forward_transformer
+
+    def capturing(*args, **kwargs):
+        outputs = forward(*args, **kwargs)
+        captured.extend(outputs)
+        return outputs
+
+    monkeypatch.setattr(sentiment, "forward_transformer", capturing)
+    encoder = _encoder()
+    id_lists = [encoder.item_ids(item.text) for item in _items()]
+    params = encoder.copy_params()
+    params["cls.w"] = Tensor(np.ones((encoder.config.hidden, 3)), requires_grad=True)
+    params["cls.b"] = Tensor(np.zeros(3), requires_grad=True)
+    frozen = sentiment._document_embeddings(
+        encoder.config, params, encoder.vocab, id_lists, frozen=True
+    )
+    predicted = sentiment._predict(encoder.config, params, encoder.vocab, id_lists, 4)
+    assert len(predicted) == len(id_lists)
+    assert captured
+    assert not frozen.requires_grad
+    assert not any(t.requires_grad for t in captured)
+    trained = sentiment._document_embeddings(
+        encoder.config, params, encoder.vocab, id_lists, frozen=False
+    )
+    assert trained.requires_grad
+    assert np.array_equal(trained.data, frozen.data)
