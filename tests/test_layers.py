@@ -205,14 +205,6 @@ class TestFusedOps:
         x = Tensor(np.random.RandomState(3).randn(4, 7) * 2, requires_grad=True)
         self._check(lambda: x.gelu(), lambda: reference_ops.gelu(x), {"x": x})
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_outputs_keep_the_input_dtype(self, dtype):
-        rng = np.random.RandomState(4)
-        x = Tensor(rng.randn(2, 6).astype(dtype))
-        gain, bias = Tensor(np.ones(6, dtype=dtype)), Tensor(np.zeros(6, dtype=dtype))
-        outputs = [layer_norm(x, gain, bias), softmax(x, axis=-1), x.gelu()]
-        assert [out.data.dtype for out in outputs] == [np.dtype(dtype)] * 3
-
 
 class TestScalarMix:
     def _layers(self, count=3, shape=(2, 4)):

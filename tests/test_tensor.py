@@ -57,9 +57,11 @@ class TestBasicOps:
         w = _param(np.arange(8.0).reshape(4, 2))
         # Integer values keep every sum exact, whatever the order.
         weights = np.random.RandomState(5).randint(-5, 6, size=w.data[key].shape) * 1.0
-        ((w[key] * Tensor(weights)).sum() + (w * w).sum()).backward()
+        # Two selections, so at least one adds into an existing gradient.
+        picked = (w[key] * Tensor(weights)).sum() + (w[key] * Tensor(weights)).sum()
+        (picked + (w * w).sum()).backward()
         expected = 2 * w.data
-        np.add.at(expected, key, weights)
+        np.add.at(expected, key, 2 * weights)
         assert np.array_equal(w.grad, expected)
 
     def test_getitem_scatter_accumulates_duplicates(self):
