@@ -78,8 +78,8 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            # A cast copy in the parameter's own memory layout: matmul
-            # results depend on the layout of the gradient they read.
+            # A cast copy in this tensor's memory layout: matmul results
+            # depend on the layout of the gradient they read.
             self.grad = np.empty_like(self.data)
             self.grad[...] = grad
         else:
@@ -210,7 +210,7 @@ class Tensor:
         x = self.data
         # Constants in x's dtype: a float64 scalar would promote float32 input.
         c, a = x.dtype.type(np.sqrt(2.0 / np.pi)), x.dtype.type(0.044715)
-        # x * x * x, not x**3: the general pow loop is about 70 ns per
+        # x * x * x, not x**3: the general pow loop is about 75 ns per
         # negative element.
         inner = c * (x + a * (x * x * x))
         t = np.tanh(inner)
