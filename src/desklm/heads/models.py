@@ -21,7 +21,7 @@ import numpy as np
 
 from ..corpus import Sentence
 from ..neural.layers import init_birnn_params, birnn_layer, mlm_loss, uniform_param, zeros_param
-from ..neural.optim import AdamConfig, AdamState, adam_step, collect_grads, zero_grads
+from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
 from ..neural.tensor import Tensor, concat
 from .lemma import (
     EditScriptError,
@@ -297,7 +297,7 @@ def train(
         zero_grads(model.params)
         loss = model.loss(sentence)
         loss.backward()
-        adam_step(model.params, collect_grads(model.params), state, AdamConfig(), lr)
+        adam_step(model.params, state, AdamConfig(), lr)
         losses.append(float(loss.data))
     return losses
 

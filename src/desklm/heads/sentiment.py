@@ -179,7 +179,6 @@ def _train_one_fold(
     rng = np.random.Generator(np.random.PCG64(seed))
     schedule = sentiment_schedule(peak_lr, warmup_epochs, decay_epochs)
     steps_per_epoch = max(1, math.ceil(len(train_indices) / batch_size))
-    classifier_names = ("cls.w", "cls.b")
     total_epochs = int(warmup_epochs + decay_epochs) + 1
 
     for epoch in range(1, total_epochs + 1):
@@ -195,16 +194,10 @@ def _train_one_fold(
             loss = _classifier_loss(embeddings, params, targets[chunk])
             loss.backward()
             if frozen:
-                trained = {name: params[name] for name in classifier_names}
-                grads = {name: params[name].grad for name in classifier_names}
-                adam_step(trained, grads, state, adam, classifier_lr)
+                lr = classifier_lr
             else:
-                fraction = (epoch - 2) + (step + 1) / steps_per_epoch
-                lr = schedule_lr(schedule, fraction)
-                grads = {
-                    name: p.grad for name, p in params.items() if p.grad is not None
-                }
-                adam_step(params, grads, state, adam, lr)
+                lr = schedule_lr(schedule, (epoch - 2) + (step + 1) / steps_per_epoch)
+            adam_step(params, state, adam, lr)
     return params
 
 

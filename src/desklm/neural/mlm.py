@@ -16,7 +16,7 @@ from .layers import (
     mlm_logits,
     mlm_loss,
 )
-from .optim import AdamConfig, AdamState, adam_step, collect_grads, zero_grads
+from .optim import AdamConfig, AdamState, adam_step, zero_grads
 from .schedule import ScheduleConfig, schedule_lr
 from .tensor import Tensor
 
@@ -66,7 +66,7 @@ def train_mlm(
         loss = mlm_loss(mlm_logits(model_config, params, hidden[-1]), batch.target_ids)
         loss.backward()
         lr = schedule_lr(schedule_config, step + 1)
-        adam_step(params, collect_grads(params), state, adam_config, lr)
+        adam_step(params, state, config=adam_config, lr=lr)
         value = float(loss.data)
         losses.append(value)
         if log_stream is not None:

@@ -1,8 +1,11 @@
 """Adam optimizer, plain and lazy.
 
-The lazy variant leaves parameter rows whose gradient rows are entirely
-zero untouched: values, both moments and the per-row step counters used
-for bias correction all stay bit-identical.
+Gradients are read from the parameters themselves (``Tensor.grad``); a
+parameter whose ``grad`` is ``None`` has a zero gradient.  Plain Adam
+still decays such a parameter's moments.  The lazy variant leaves
+parameter rows whose gradient rows are entirely zero untouched: values,
+both moments and the per-row step counters used for bias correction all
+stay bit-identical, so a parameter with no gradient is left as it was.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ class AdamConfig:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError("eps must be positive")
 
 
 class AdamState:
@@ -48,59 +53,44 @@ class AdamState:
 
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
     state: AdamState,
     config: AdamConfig,
     lr: float,
 ) -> None:
-    """Apply one bias-corrected Adam update in place.
+    """Apply one bias-corrected Adam update in place, reading each
+    parameter's gradient from ``p.grad`` (``None`` counts as zero).
 
-    Raises on non-finite gradients, naming the offending parameter.
+    Plain Adam updates every element; lazy Adam only the rows (along the
+    first axis) whose gradient is nonzero somewhere, each with its own
+    step counter.  A 0-dim parameter is always updated plainly.  Raises
+    on non-finite gradients, naming the offending parameter.
     """
     for name in sorted(params):
-        grad = grads.get(name)
-        if grad is None:
-            continue
-        grad = np.asarray(grad, dtype=np.float64)
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         param = params[name]
+        if param.grad is None:
+            grad = np.zeros(param.data.shape)
+        else:
+            grad = np.asarray(param.grad, dtype=np.float64)
+            if not np.isfinite(grad).all():
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         state.ensure(name, param.data, config.lazy)
         m, v = state.moments[name]
 
         if config.lazy and param.data.ndim > 0:
             rows = np.nonzero(grad.reshape(grad.shape[0], -1).any(axis=1))[0]
-            if rows.size == 0:
-                continue
-            t_rows = state.steps[name]
-            t_rows[rows] += 1
-            g = grad[rows]
-            m[rows] = config.beta1 * m[rows] + (1 - config.beta1) * g
-            v[rows] = config.beta2 * v[rows] + (1 - config.beta2) * g**2
-            t = t_rows[rows].reshape((-1,) + (1,) * (grad.ndim - 1))
-            m_hat = m[rows] / (1 - config.beta1**t)
-            v_hat = v[rows] / (1 - config.beta2**t)
-            update = (lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(param.data.dtype)
-            param.data[rows] -= update
+            state.steps[name][rows] += 1
+            t = state.steps[name][rows].reshape((-1,) + (1,) * (grad.ndim - 1))
         else:
-            t = state.steps[name] + 1
-            state.steps[name] = t
-            m *= config.beta1
-            m += (1 - config.beta1) * grad
-            v *= config.beta2
-            v += (1 - config.beta2) * grad**2
-            m_hat = m / (1 - config.beta1**t)
-            v_hat = v / (1 - config.beta2**t)
-            update = (lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(param.data.dtype)
-            param.data -= update
-
-
-def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients accumulated on ``params`` (zeros where none were set)."""
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+            rows = ...
+            t = state.steps[name] = state.steps[name] + 1
+        g = grad[rows]
+        m[rows] *= config.beta1
+        m[rows] += (1 - config.beta1) * g
+        v[rows] *= config.beta2
+        v[rows] += (1 - config.beta2) * g**2
+        m_hat = m[rows] / (1 - config.beta1**t)
+        v_hat = v[rows] / (1 - config.beta2**t)
+        param.data[rows] -= (lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(param.data.dtype)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

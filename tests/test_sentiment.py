@@ -53,15 +53,16 @@ def _encoder():
     return SentimentEncoder(config=config, params=params, vocab=vocab)
 
 
-def _train_fold():
-    encoder = _encoder()
+def _train_fold(encoder=None, warmup_epochs=0.5, decay_epochs=0.5):
+    encoder = encoder or _encoder()
     items = _items()
     id_lists = [encoder.item_ids(item.text) for item in items]
     targets = np.array(
         [sentiment.LABELS.index(item.label) for item in items], dtype=np.int64
     )
     return sentiment._train_one_fold(
-        encoder, id_lists, targets, list(range(10)), 1e-2, 11, 4, 5e-2, 0.5, 0.5
+        encoder, id_lists, targets, list(range(10)), 1e-2, 11, 4, 5e-2,
+        warmup_epochs, decay_epochs,
     )
 
 
@@ -120,6 +121,14 @@ class TestGoldenProtocol:
     def test_reference_ops_reproduce_recorded_fold(self, monkeypatch):
         reference_ops.install(monkeypatch)
         assert _fold_digest(_train_fold()) == REFERENCE_FOLD_DIGEST
+
+    def test_frozen_epoch_trains_only_the_classifier(self):
+        # warmup + decay < 1 leaves only the frozen first epoch.
+        encoder = _encoder()
+        params = _train_fold(encoder, warmup_epochs=0.25, decay_epochs=0.25)
+        for name, p in encoder.params.items():
+            assert np.array_equal(params[name].data, p.data), name
+        assert np.any(params["cls.w"].data != 0.0)
 
     def test_fused_ops_match_reference_ops(self, monkeypatch):
         params = _train_fold()
