@@ -43,7 +43,6 @@ class MlmBatch:
 
     input_ids: np.ndarray
     target_ids: np.ndarray
-    mask_positions: list[tuple[int, ...]]
 
 
 def pack_full_sentences(
@@ -96,8 +95,8 @@ def apply_dynamic_masking(
     vocab: ByteVocab,
     mask_prob: float = 0.15,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Corrupt one sample; returns (input_ids, target_ids, mask_positions).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupt one sample; returns (input_ids, target_ids).
 
     Each non-special position is selected independently with probability
     ``mask_prob``; a selected position becomes the mask id, a uniform
@@ -110,14 +109,12 @@ def apply_dynamic_masking(
 
     input_ids = np.array(sample.ids, dtype=np.int64)
     target_ids = np.full(len(sample.ids), IGNORE_INDEX, dtype=np.int64)
-    positions = []
     n_specials = len(vocab.special_tokens)
     for pos, original in enumerate(sample.ids):
         if original in specials:
             continue
         if rng.random() >= mask_prob:
             continue
-        positions.append(pos)
         target_ids[pos] = original
         roll = rng.random()
         if roll < MASK_POLICY[0]:
@@ -125,7 +122,7 @@ def apply_dynamic_masking(
         elif roll < MASK_POLICY[0] + MASK_POLICY[1]:
             input_ids[pos] = rng.integers(n_specials, len(vocab.tokens))
         # else: keep the original id.
-    return input_ids, target_ids, tuple(positions)
+    return input_ids, target_ids
 
 
 def build_mlm_batch(
@@ -139,10 +136,8 @@ def build_mlm_batch(
     pad = vocab.special_tokens.pad
     input_ids = np.full((len(samples), max_len), pad, dtype=np.int64)
     target_ids = np.full((len(samples), max_len), IGNORE_INDEX, dtype=np.int64)
-    mask_positions = []
     for row, sample in enumerate(samples):
-        ids, targets, positions = apply_dynamic_masking(sample, vocab, mask_prob, seed=seed + row)
+        ids, targets = apply_dynamic_masking(sample, vocab, mask_prob, seed=seed + row)
         input_ids[row, : len(ids)] = ids
         target_ids[row, : len(ids)] = targets
-        mask_positions.append(positions)
-    return MlmBatch(input_ids, target_ids, mask_positions)
+    return MlmBatch(input_ids, target_ids)

@@ -4,12 +4,14 @@ One :class:`SequenceEncoder` turns a sentence into contextual states: it
 builds the word and character vocabularies, embeds each token from three
 streams (an end-to-end word embedding, a character-level BiGRU embedding
 and optional frozen contextual vectors appended as-is), and runs three
-stacked bidirectional GRU layers.  Every task model owns one encoder and
-adds its heads over the states: softmax taggers (POS + lemma category),
-a biaffine parser trained jointly with the taggers, and CRF or
-stack-string classifiers for NER.  Each model exposes ``sentences``,
-``params`` and ``loss(sentence)``, and :func:`train` is the one training
-loop for all of them.
+stacked bidirectional GRU layers.  The encoder holds no weights: it reads
+the ones it is given.  Every task model owns one encoder and one weight
+map, ``params``, with the encoder's weights and its heads over the
+states: softmax taggers (POS + lemma category), a biaffine parser trained
+jointly with the taggers, and CRF or stack-string classifiers for NER.
+Each model exposes ``sentences``, ``params`` and ``loss(sentence)``, and
+:func:`train` is the one training loop for all of them.  ``predict`` runs
+on ``constants(self.params)`` and so builds no autograd graph.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from ..corpus import Sentence
 from ..neural.layers import init_birnn_params, birnn_layer, mlm_loss, uniform_param, zeros_param
 from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
-from ..neural.tensor import Tensor, concat
+from ..neural.tensor import Tensor, concat, constants
 from .lemma import (
     EditScriptError,
     LemmaCategoryInventory,
@@ -70,41 +72,57 @@ class FeaturizerConfig:
         return self.word_dim + 2 * self.char_hidden + self.contextual_dim
 
 
-class TokenFeaturizer:
-    """Per-token input vectors from word ids, characters and optional
-    frozen contextual embeddings."""
+class SequenceEncoder:
+    """Vocabularies, token features and the three-layer BiGRU trunk shared
+    by every task model.  ``init_params`` draws the encoder weights;
+    ``featurize`` and ``encode`` read the weights they are passed."""
 
     def __init__(
         self,
-        word_vocab: dict[str, int],
-        char_vocab: dict[str, int],
-        config: FeaturizerConfig,
-        seed: int = 0,
-        dtype=np.float32,
+        sentences: Sequence[Sentence],
+        hidden: int,
+        featurizer_config: FeaturizerConfig | None,
+        dtype,
     ):
-        self.word_vocab = word_vocab
-        self.char_vocab = char_vocab
-        self.config = config
+        forms = [t.form for s in sentences for t in s.tokens]
+        self.word_vocab = build_vocab(forms)
+        self.char_vocab = build_vocab([c for f in forms for c in f])
+        self.config = featurizer_config or FeaturizerConfig()
+        self.hidden = hidden
+        self.dtype = dtype
+        self.output_dim = 2 * hidden
+
+    def init_params(self, seed: int) -> dict[str, Tensor]:
+        config, dtype = self.config, self.dtype
         rng = np.random.Generator(np.random.PCG64(seed))
-        self.params: dict[str, Tensor] = {
+        params = {
             "word_emb": uniform_param(
-                rng, (len(word_vocab), config.word_dim), config.word_dim, dtype
+                rng, (len(self.word_vocab), config.word_dim), config.word_dim, dtype
             ),
             "char_emb": uniform_param(
-                rng, (len(char_vocab), config.char_dim), config.char_dim, dtype
+                rng, (len(self.char_vocab), config.char_dim), config.char_dim, dtype
+            ),
+            **init_birnn_params(
+                "char_rnn", config.char_dim, config.char_hidden, seed=seed + 1, dtype=dtype
             ),
         }
-        for key, value in init_birnn_params(
-            config.char_dim, config.char_hidden, seed=seed + 1, dtype=dtype
-        ).items():
-            self.params[f"char_rnn.{key}"] = value
+        dim = config.output_dim
+        for layer in range(TRUNK_LAYERS):
+            seed_layer = seed + 200 + layer
+            params.update(init_birnn_params(f"rnn{layer}", dim, self.hidden, seed_layer, dtype))
+            dim = self.output_dim
+        return params
 
     def featurize(
-        self, forms: Sequence[str], contextual: np.ndarray | None = None
+        self,
+        params: dict[str, Tensor],
+        forms: Sequence[str],
+        contextual: np.ndarray | None = None,
     ) -> Tensor:
-        """(len(forms), output_dim) inputs; ``contextual`` must be
+        """(len(forms), output_dim) inputs from word ids, characters and
+        optional frozen contextual vectors; ``contextual`` must be
         (len(forms), contextual_dim) and is cast to the parameter dtype."""
-        dtype = self.params["word_emb"].data.dtype
+        dtype = self.dtype
         expected = (len(forms), self.config.contextual_dim)
         if contextual is not None and np.shape(contextual) != expected:
             raise ValueError(
@@ -113,19 +131,14 @@ class TokenFeaturizer:
         word_ids = np.array(
             [self.word_vocab.get(form, 0) for form in forms], dtype=np.int64
         )
-        word_vectors = self.params["word_emb"][word_ids]
-        char_params = {
-            key[len("char_rnn."):]: value
-            for key, value in self.params.items()
-            if key.startswith("char_rnn.")
-        }
+        word_vectors = params["word_emb"][word_ids]
         char_vectors = []
         hidden = self.config.char_hidden
         for form in forms:
             char_ids = np.array(
                 [self.char_vocab.get(c, 0) for c in form], dtype=np.int64
             )
-            states = birnn_layer(self.params["char_emb"][char_ids], char_params)
+            states = birnn_layer(params["char_emb"][char_ids], params, "char_rnn")
             # Word vector: last forward state + first backward state.
             last_forward = states[len(form) - 1 : len(form), :hidden]
             first_backward = states[0:1, hidden:]
@@ -137,50 +150,16 @@ class TokenFeaturizer:
             features = concat([features, Tensor(np.asarray(contextual, dtype=dtype))], axis=1)
         return features
 
-
-class SequenceEncoder:
-    """Vocabularies, token featurizer and the three-layer BiGRU trunk
-    shared by every task model; ``encode`` maps a sentence to (n, 2 *
-    hidden) states."""
-
-    def __init__(
+    def encode(
         self,
-        sentences: Sequence[Sentence],
-        hidden: int,
-        featurizer_config: FeaturizerConfig | None,
-        seed: int,
-        dtype,
-    ):
-        forms = [t.form for s in sentences for t in s.tokens]
-        chars = [c for f in forms for c in f]
-        self.featurizer = TokenFeaturizer(
-            build_vocab(forms),
-            build_vocab(chars),
-            featurizer_config or FeaturizerConfig(),
-            seed=seed,
-            dtype=dtype,
-        )
-        self.dtype = dtype
-        self.output_dim = 2 * hidden
-        self.params: dict[str, Tensor] = dict(self.featurizer.params)
-        dim = self.featurizer.config.output_dim
+        params: dict[str, Tensor],
+        sentence: Sentence,
+        contextual: np.ndarray | None = None,
+    ) -> Tensor:
+        """(n, output_dim) contextual states of ``sentence``."""
+        states = self.featurize(params, sentence.forms, contextual)
         for layer in range(TRUNK_LAYERS):
-            for key, value in init_birnn_params(
-                dim, hidden, seed=seed + 200 + layer, dtype=dtype
-            ).items():
-                self.params[f"rnn{layer}.{key}"] = value
-            dim = self.output_dim
-
-    def encode(self, sentence: Sentence, contextual: np.ndarray | None = None) -> Tensor:
-        states = self.featurizer.featurize(sentence.forms, contextual)
-        for layer in range(TRUNK_LAYERS):
-            prefix = f"rnn{layer}."
-            layer_params = {
-                key[len(prefix):]: value
-                for key, value in self.params.items()
-                if key.startswith(prefix)
-            }
-            states = birnn_layer(states, layer_params)
+            states = birnn_layer(states, params, f"rnn{layer}")
         return states
 
     def linear_head(self, rng: np.random.Generator, name: str, size: int) -> dict[str, Tensor]:
@@ -246,29 +225,31 @@ class TaggerModel:
     ):
         self.data = data
         self.sentences = data.sentences
-        self.encoder = SequenceEncoder(data.sentences, hidden, featurizer_config, seed, dtype)
-        self.params: dict[str, Tensor] = dict(self.encoder.params)
+        self.encoder = SequenceEncoder(data.sentences, hidden, featurizer_config, dtype)
+        self.params = self.encoder.init_params(seed)
         rng = np.random.Generator(np.random.PCG64(seed + 100))
         self.params.update(self.encoder.linear_head(rng, "tag", len(data.tagset)))
         self.params.update(self.encoder.linear_head(rng, "lemma", len(data.inventory)))
 
-    def head_losses(self, states: Tensor, sentence: Sentence) -> tuple[Tensor, Tensor]:
+    def head_losses(
+        self, params: dict[str, Tensor], states: Tensor, sentence: Sentence
+    ) -> tuple[Tensor, Tensor]:
         """(tag loss, lemma-category loss) of the encoded ``sentence``."""
         return (
-            mlm_loss(_linear(states, self.params, "tag"), self.data.tag_ids(sentence)),
-            mlm_loss(_linear(states, self.params, "lemma"), self.data.lemma_ids(sentence)),
+            mlm_loss(_linear(states, params, "tag"), self.data.tag_ids(sentence)),
+            mlm_loss(_linear(states, params, "lemma"), self.data.lemma_ids(sentence)),
         )
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        tag_loss, lemma_loss = self.head_losses(
-            self.encoder.encode(sentence, contextual), sentence
-        )
+        states = self.encoder.encode(self.params, sentence, contextual)
+        tag_loss, lemma_loss = self.head_losses(self.params, states, sentence)
         return tag_loss + lemma_loss
 
     def predict(self, sentence: Sentence, contextual=None) -> tuple[list[str], list[str]]:
-        states = self.encoder.encode(sentence, contextual)
-        tag_logits = _linear(states, self.params, "tag")
-        lemma_logits = _linear(states, self.params, "lemma")
+        params = constants(self.params)
+        states = self.encoder.encode(params, sentence, contextual)
+        tag_logits = _linear(states, params, "tag")
+        lemma_logits = _linear(states, params, "lemma")
         id_to_tag = {i: t for t, i in self.data.tagset.items()}
         tags = [id_to_tag[int(i)] for i in np.argmax(tag_logits.data, axis=-1)]
         lemmas = []
@@ -331,16 +312,14 @@ class JointParserModel:
             init_biaffine_params(arc_dim, len(relations), seed=seed + 400, dtype=dtype)
         )
 
-    def _arc_scores(self, states: Tensor):
-        heads = concat(
-            [self.params["root_vec"], states @ self.params["head_proj"]], axis=0
-        )
-        dependents = states @ self.params["dep_proj"]
-        return biaffine_scores(heads, dependents, self.params)
+    @staticmethod
+    def _arc_scores(params: dict[str, Tensor], states: Tensor):
+        heads = concat([params["root_vec"], states @ params["head_proj"]], axis=0)
+        return biaffine_scores(heads, states @ params["dep_proj"], params)
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        states = self.tagger.encoder.encode(sentence, contextual)
-        scores = self._arc_scores(states)
+        states = self.tagger.encoder.encode(self.params, sentence, contextual)
+        scores = self._arc_scores(self.params, states)
         gold_heads = [token.head for token in sentence.tokens]
         if any(h is None for h in gold_heads):
             raise ValueError("parser training requires annotated heads")
@@ -351,11 +330,13 @@ class JointParserModel:
         arc_loss = mlm_loss(scores.arc.transpose(1, 0), gold_heads)
         label_rows = scores.label[np.asarray(gold_heads), np.arange(n)]
         label_loss = mlm_loss(label_rows, gold_relations)
-        tag_loss, lemma_loss = self.tagger.head_losses(states, sentence)
+        tag_loss, lemma_loss = self.tagger.head_losses(self.params, states, sentence)
         return arc_loss + label_loss + tag_loss + lemma_loss
 
     def predict(self, sentence: Sentence, contextual=None) -> tuple[list[int], list[str]]:
-        scores = self._arc_scores(self.tagger.encoder.encode(sentence, contextual))
+        params = constants(self.params)
+        states = self.tagger.encoder.encode(params, sentence, contextual)
+        scores = self._arc_scores(params, states)
         heads, label_ids = decode_tree(scores)
         id_to_relation = {i: r for r, i in self.relations.items()}
         return heads, [id_to_relation[i] for i in label_ids]
@@ -382,34 +363,34 @@ class FlatNerModel:
         self.transition_penalty = Tensor(transition_penalty.astype(dtype))
         self.start_penalty = Tensor(start_penalty.astype(dtype))
 
-        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, seed, dtype)
-        self.params: dict[str, Tensor] = dict(self.encoder.params)
+        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, dtype)
+        self.params = self.encoder.init_params(seed)
         rng = np.random.Generator(np.random.PCG64(seed + 500))
         count = len(self.labels)
         self.params.update(self.encoder.linear_head(rng, "emit", count))
         self.params["crf.transitions"] = zeros_param((count, count), dtype)
         self.params["crf.start"] = zeros_param((count,), dtype)
 
-    def _emissions(self, sentence: Sentence, contextual=None) -> Tensor:
-        return _linear(self.encoder.encode(sentence, contextual), self.params, "emit")
+    def _emissions(self, params: dict[str, Tensor], sentence: Sentence, contextual) -> Tensor:
+        return _linear(self.encoder.encode(params, sentence, contextual), params, "emit")
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
         tags = spans_to_bio(sentence.entity_spans, len(sentence.tokens))
         validate_bio(tags)
         tag_ids = [self.label_ids[t] for t in tags]
         return crf_loss(
-            self._emissions(sentence, contextual),
+            self._emissions(self.params, sentence, contextual),
             self.params["crf.transitions"] + self.transition_penalty,
             tag_ids,
             self.params["crf.start"] + self.start_penalty,
         )
 
     def predict(self, sentence: Sentence, contextual=None):
-        emissions = self._emissions(sentence, contextual)
+        params = constants(self.params)
         path = crf_decode(
-            emissions.data,
-            self.params["crf.transitions"].data + self.transition_penalty.data,
-            self.params["crf.start"].data + self.start_penalty.data,
+            self._emissions(params, sentence, contextual).data,
+            params["crf.transitions"].data + self.transition_penalty.data,
+            params["crf.start"].data + self.start_penalty.data,
         )
         return bio_to_spans([self.labels[i] for i in path])
 
@@ -435,21 +416,21 @@ class NestedNerModel:
         self.stack_vocab = {s: i for i, s in enumerate(stack_strings)}
         self.stack_strings = stack_strings
 
-        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, seed, dtype)
-        self.params: dict[str, Tensor] = dict(self.encoder.params)
+        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, dtype)
+        self.params = self.encoder.init_params(seed)
         rng = np.random.Generator(np.random.PCG64(seed + 600))
         self.params.update(self.encoder.linear_head(rng, "stack", len(stack_strings)))
 
-    def _logits(self, sentence: Sentence, contextual=None) -> Tensor:
-        return _linear(self.encoder.encode(sentence, contextual), self.params, "stack")
+    def _logits(self, params: dict[str, Tensor], sentence: Sentence, contextual) -> Tensor:
+        return _linear(self.encoder.encode(params, sentence, contextual), params, "stack")
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
         stacks = encode_nested(sentence.entity_spans, len(sentence.tokens))
         targets = [self.stack_vocab[render_stack(s)] for s in stacks]
-        return mlm_loss(self._logits(sentence, contextual), targets)
+        return mlm_loss(self._logits(self.params, sentence, contextual), targets)
 
     def predict(self, sentence: Sentence, contextual=None):
-        logits = self._logits(sentence, contextual)
+        logits = self._logits(constants(self.params), sentence, contextual)
         stacks = [
             parse_stack(self.stack_strings[int(i)])
             for i in np.argmax(logits.data, axis=-1)

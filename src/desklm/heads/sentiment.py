@@ -25,7 +25,7 @@ from ..metrics.aggregate import aggregate_folds, macro_f1
 from ..neural.layers import TransformerConfig, forward_transformer, mlm_loss
 from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
 from ..neural.schedule import schedule_lr, sentiment_schedule
-from ..neural.tensor import Tensor
+from ..neural.tensor import Tensor, constants
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_ALIASES = {"n": "negative", "0": "neutral", "p": "positive"}
@@ -103,7 +103,7 @@ def _document_embeddings(
     """First-position vectors of the final layer; with ``frozen`` the
     encoder runs on constant views of ``params`` and builds no graph."""
     if frozen:
-        params = {name: Tensor(p.data) for name, p in params.items()}
+        params = constants(params)
     input_ids, mask = _pad_batch(id_lists, vocab.special_tokens.pad)
     layers = forward_transformer(config, params, input_ids, pad_mask=mask)
     return layers[-1][:, 0, :]

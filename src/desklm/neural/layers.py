@@ -104,7 +104,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
     normed = centered * inv
-    out = Tensor(normed * gain.data + bias.data, parents=(x, gain, bias))
 
     def backward(g):
         if gain.requires_grad:
@@ -122,8 +121,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 )
             )
 
-    out._backward = backward
-    return out
+    return Tensor(normed * gain.data + bias.data, parents=(x, gain, bias), backward=backward)
 
 
 def forward_transformer(
@@ -238,26 +236,20 @@ def pool_subwords(subword_embeddings: Tensor, token_to_subwords: Sequence[Sequen
     return Tensor(pooling) @ subword_embeddings
 
 
-def init_gru_params(
-    input_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float32
-) -> dict[str, Tensor]:
-    params = {}
-    for gate in ("z", "r", "n"):
-        params[f"w{gate}"] = uniform_param(rng, (input_dim, hidden_dim), input_dim, dtype)
-        params[f"u{gate}"] = uniform_param(rng, (hidden_dim, hidden_dim), hidden_dim, dtype)
-        params[f"b{gate}"] = zeros_param((hidden_dim,), dtype)
-    return params
-
-
 def init_birnn_params(
-    input_dim: int, hidden_dim: int, seed: int = 0, dtype=np.float32
+    prefix: str, input_dim: int, hidden_dim: int, seed: int = 0, dtype=np.float32
 ) -> dict[str, Tensor]:
-    """Parameters for one bidirectional GRU layer, flat-keyed by direction."""
+    """Parameters for one bidirectional GRU layer, named
+    ``{prefix}.{fwd|bwd}.{w|u|b}{z|r|n}``."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    d, h = input_dim, hidden_dim
     params = {}
     for direction in ("fwd", "bwd"):
-        for key, value in init_gru_params(input_dim, hidden_dim, rng, dtype).items():
-            params[f"{direction}.{key}"] = value
+        name = f"{prefix}.{direction}"
+        for gate in ("z", "r", "n"):
+            params[f"{name}.w{gate}"] = uniform_param(rng, (d, h), d, dtype)
+            params[f"{name}.u{gate}"] = uniform_param(rng, (h, h), h, dtype)
+            params[f"{name}.b{gate}"] = zeros_param((h,), dtype)
     return params
 
 
@@ -280,12 +272,13 @@ def _gru_pass(inputs: Tensor, params: dict[str, Tensor], prefix: str, reverse: b
     return outputs  # type: ignore[return-value]
 
 
-def birnn_layer(inputs: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Bidirectional GRU over a (T, D) sequence; output is (T, 2H) with the
+def birnn_layer(inputs: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """Bidirectional GRU over a (T, D) sequence with the ``prefix``
+    parameters of :func:`init_birnn_params`; output is (T, 2H) with the
     forward and backward states concatenated per position."""
     if inputs.shape[0] < 1:
         raise ValueError("sequence must have length >= 1")
-    forward = _gru_pass(inputs, params, "fwd", reverse=False)
-    backward = _gru_pass(inputs, params, "bwd", reverse=True)
+    forward = _gru_pass(inputs, params, f"{prefix}.fwd", reverse=False)
+    backward = _gru_pass(inputs, params, f"{prefix}.bwd", reverse=True)
     per_step = [concat([f, b], axis=1) for f, b in zip(forward, backward)]
     return concat(per_step, axis=0)

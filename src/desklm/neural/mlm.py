@@ -18,7 +18,7 @@ from .layers import (
 )
 from .optim import AdamConfig, AdamState, adam_step, zero_grads
 from .schedule import ScheduleConfig, schedule_lr
-from .tensor import Tensor
+from .tensor import Tensor, constants
 
 
 def train_mlm(
@@ -87,16 +87,15 @@ def eval_masked_accuracy(
     original id, under a fixed masking seed."""
     pad = vocab.special_tokens.pad
     max_len = min(model_config.max_positions, max(len(s.ids) for s in samples))
-    # Constant views of the parameters: the forward pass builds no graph.
-    constants = {name: Tensor(p.data) for name, p in params.items()}
+    frozen = constants(params)
     correct = total = 0
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
         batch = build_mlm_batch(chunk, vocab, max_len=max_len, mask_prob=mask_prob, seed=seed + start)
         hidden = forward_transformer(
-            model_config, constants, batch.input_ids, pad_mask=batch.input_ids != pad
+            model_config, frozen, batch.input_ids, pad_mask=batch.input_ids != pad
         )
-        logits = mlm_logits(model_config, constants, hidden[-1])
+        logits = mlm_logits(model_config, frozen, hidden[-1])
         predictions = np.argmax(logits.data, axis=-1)
         targeted = batch.target_ids != IGNORE_INDEX
         correct += int((predictions[targeted] == batch.target_ids[targeted]).sum())

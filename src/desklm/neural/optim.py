@@ -63,16 +63,20 @@ def adam_step(
     Plain Adam updates every element; lazy Adam only the rows (along the
     first axis) whose gradient is nonzero somewhere, each with its own
     step counter.  A 0-dim parameter is always updated plainly.  Raises
-    on non-finite gradients, naming the offending parameter.
+    on a non-finite gradient, naming the offending parameter, before any
+    parameter or state is updated.
     """
-    for name in sorted(params):
+    names = sorted(params)
+    for name in names:
+        grad = params[name].grad
+        if grad is not None and not np.isfinite(grad).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    for name in names:
         param = params[name]
         if param.grad is None:
             grad = np.zeros(param.data.shape)
         else:
             grad = np.asarray(param.grad, dtype=np.float64)
-            if not np.isfinite(grad).all():
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         state.ensure(name, param.data, config.lazy)
         m, v = state.moments[name]
 

@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a numpy array plus an optional accumulated gradient of the
-same shape.  Operations record their parents and a backward closure; a
-call to ``backward()`` on a scalar walks the graph in reverse topological
-order.  Everything is single-threaded and deterministic.
+same shape.  Each operation hands its parents and its backward closure to
+the constructor, which keeps them only when some parent requires a
+gradient: a node built over constants holds neither parents nor closure,
+so a forward pass over :func:`constants` builds no graph.  A call to
+``backward()`` on a scalar walks the graph in reverse topological order.
+Everything is single-threaded and deterministic.
 
 ``Tensor.gelu`` and ``softmax`` are fused: each is one graph node with a
 hand-written backward pass (``layers.layer_norm`` is the third fused op).
@@ -123,7 +126,6 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -131,15 +133,12 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward=backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, parents=(self,))
-        out._backward = lambda g: self._accumulate(-g)
-        return out
+        return Tensor(-self.data, parents=(self,), backward=lambda g: self._accumulate(-g))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
@@ -149,7 +148,6 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -157,15 +155,13 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward=backward)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul operands must have ndim >= 2")
-        out = Tensor(self.data @ other.data, parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -177,33 +173,30 @@ class Tensor:
                     _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape)
                 )
 
-        out._backward = backward
-        return out
+        return Tensor(self.data @ other.data, parents=(self, other), backward=backward)
 
     # -- elementwise functions ----------------------------------------------
 
     def exp(self) -> "Tensor":
         value = np.exp(self.data)
-        out = Tensor(value, parents=(self,))
-        out._backward = lambda g: self._accumulate(g * value)
-        return out
+        return Tensor(value, parents=(self,), backward=lambda g: self._accumulate(g * value))
 
     def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), parents=(self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
-        return out
+        return Tensor(
+            np.log(self.data), parents=(self,), backward=lambda g: self._accumulate(g / self.data)
+        )
 
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)
-        out = Tensor(value, parents=(self,))
-        out._backward = lambda g: self._accumulate(g * (1.0 - value**2))
-        return out
+        return Tensor(
+            value, parents=(self,), backward=lambda g: self._accumulate(g * (1.0 - value**2))
+        )
 
     def sigmoid(self) -> "Tensor":
         value = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-        out = Tensor(value, parents=(self,))
-        out._backward = lambda g: self._accumulate(g * value * (1.0 - value))
-        return out
+        return Tensor(
+            value, parents=(self,), backward=lambda g: self._accumulate(g * value * (1.0 - value))
+        )
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit, tanh approximation."""
@@ -214,35 +207,36 @@ class Tensor:
         # negative element.
         inner = c * (x + a * (x * x * x))
         t = np.tanh(inner)
-        out = Tensor(0.5 * x * (1.0 + t), parents=(self,))
 
         def backward(g):
             dinner = c * (1.0 + 3 * a * (x * x))
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
             self._accumulate(g * local)
 
-        out._backward = backward
-        return out
+        return Tensor(0.5 * x * (1.0 + t), parents=(self,), backward=backward)
 
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), parents=(self,))
-        out._backward = lambda g: self._accumulate(g.reshape(self.shape))
-        return out
+        return Tensor(
+            self.data.reshape(shape),
+            parents=(self,),
+            backward=lambda g: self._accumulate(g.reshape(self.shape)),
+        )
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out = Tensor(self.data.transpose(*axes), parents=(self,))
         inverse = np.argsort(axes)
-        out._backward = lambda g: self._accumulate(g.transpose(*inverse))
-        return out
+        return Tensor(
+            self.data.transpose(*axes),
+            parents=(self,),
+            backward=lambda g: self._accumulate(g.transpose(*inverse)),
+        )
 
     def __getitem__(self, key) -> "Tensor":
-        out = Tensor(self.data[key], parents=(self,))
         basic = _is_basic_index(key)
 
         def backward(g):
@@ -257,14 +251,11 @@ class Tensor:
             np.add.at(full, key, g)
             self._accumulate(full)
 
-        out._backward = backward
-        return out
+        return Tensor(self.data[key], parents=(self,), backward=backward)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def backward(g):
             if axis is None:
                 self._accumulate(np.broadcast_to(g, self.shape).copy())
@@ -273,8 +264,9 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out._backward = backward
-        return out
+        return Tensor(
+            self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), backward=backward
+        )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         axes = range(self.ndim) if axis is None else np.atleast_1d(axis)
@@ -282,12 +274,14 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
+def constants(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Constant views of ``params``: same arrays, no gradient tracking."""
+    return {name: Tensor(p.data) for name, p in params.items()}
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = list(tensors)
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors)
-    )
     sizes = [t.data.shape[axis] for t in tensors]
 
     def backward(g):
@@ -299,8 +293,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(index)])
             offset += size
 
-    out._backward = backward
-    return out
+    return Tensor(
+        np.concatenate([t.data for t in tensors], axis=axis),
+        parents=tuple(tensors),
+        backward=backward,
+    )
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -308,9 +305,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     ``y * (g - sum(g * y))`` along ``axis``."""
     y = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
     y /= y.sum(axis=axis, keepdims=True)
-    out = Tensor(y, parents=(x,))
-    out._backward = lambda g: x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-    return out
+    return Tensor(
+        y,
+        parents=(x,),
+        backward=lambda g: x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True))),
+    )
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

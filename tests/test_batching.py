@@ -75,6 +75,11 @@ class TestPacking:
         assert packed == expected
 
 
+def _selected(targets):
+    """Positions that masking selected: those with a target."""
+    return tuple(int(p) for p in np.nonzero(targets != IGNORE_INDEX)[0])
+
+
 class TestMasking:
     def _sample(self, vocab, n=64):
         bos, eos = vocab.special_tokens.bos, vocab.special_tokens.eos
@@ -83,29 +88,29 @@ class TestMasking:
 
     def test_zero_probability_is_identity(self, vocab):
         sample = self._sample(vocab)
-        ids, targets, positions = apply_dynamic_masking(sample, vocab, mask_prob=0.0, seed=1)
+        ids, targets = apply_dynamic_masking(sample, vocab, mask_prob=0.0, seed=1)
         assert tuple(ids) == sample.ids
-        assert positions == ()
         assert (targets == IGNORE_INDEX).all()
 
     def test_degenerate_policy_masks_everything(self, vocab, monkeypatch):
         monkeypatch.setattr(batching, "MASK_POLICY", (1.0, 0.0, 0.0))
         sample = self._sample(vocab)
-        ids, targets, positions = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=1)
+        ids, targets = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=1)
         eligible = [p for p, i in enumerate(sample.ids) if i not in set(vocab.special_tokens)]
-        assert list(positions) == eligible
+        assert list(_selected(targets)) == eligible
         assert all(ids[p] == vocab.special_tokens.mask for p in eligible)
         assert all(targets[p] == sample.ids[p] for p in eligible)
 
     def test_specials_never_selected(self, vocab):
         sample = self._sample(vocab)
-        _, _, positions = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=2)
+        _, targets = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=2)
+        positions = _selected(targets)
         assert 0 not in positions and len(sample.ids) - 1 not in positions
 
     def test_unselected_positions_unchanged(self, vocab):
         sample = self._sample(vocab)
-        ids, targets, positions = apply_dynamic_masking(sample, vocab, mask_prob=0.3, seed=3)
-        selected = set(positions)
+        ids, targets = apply_dynamic_masking(sample, vocab, mask_prob=0.3, seed=3)
+        selected = set(_selected(targets))
         for p, original in enumerate(sample.ids):
             if p not in selected:
                 assert ids[p] == original
@@ -117,21 +122,21 @@ class TestMasking:
         sample = self._sample(vocab)
         a = apply_dynamic_masking(sample, vocab, seed=9)
         b = apply_dynamic_masking(sample, vocab, seed=9)
-        assert (a[0] == b[0]).all() and (a[1] == b[1]).all() and a[2] == b[2]
+        assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
     def test_different_seed_changes_corruption(self, vocab):
         sample = self._sample(vocab, n=128)
         a = apply_dynamic_masking(sample, vocab, seed=1)
         b = apply_dynamic_masking(sample, vocab, seed=2)
-        assert a[2] != b[2]
+        assert _selected(a[1]) != _selected(b[1])
 
     def test_selection_rate_binomial_bound(self, vocab):
         # >= 100,000 eligible positions; 5 binomial sigmas around 0.15.
         sample = self._sample(vocab, n=1000)
         selected = total = 0
         for seed in range(110):
-            _, _, positions = apply_dynamic_masking(sample, vocab, mask_prob=0.15, seed=seed)
-            selected += len(positions)
+            _, targets = apply_dynamic_masking(sample, vocab, mask_prob=0.15, seed=seed)
+            selected += len(_selected(targets))
             total += 1000
         assert total >= 100_000
         rate = selected / total
@@ -146,7 +151,8 @@ class TestMasking:
         mask = vocab.special_tokens.mask
         masked = changed = total = 0
         for seed in range(10):
-            ids, _, positions = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=seed)
+            ids, targets = apply_dynamic_masking(sample, vocab, mask_prob=1.0, seed=seed)
+            positions = _selected(targets)
             for p in positions:
                 masked += int(ids[p] == mask)
                 changed += int(ids[p] != mask and ids[p] != sample.ids[p])

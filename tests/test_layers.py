@@ -275,27 +275,27 @@ class TestPoolSubwords:
 
 class TestBirnn:
     def test_output_dimension_doubles_cell(self):
-        params = init_birnn_params(5, 7, seed=0, dtype=np.float64)
+        params = init_birnn_params("rnn", 5, 7, seed=0, dtype=np.float64)
         inputs = Tensor(np.random.RandomState(0).randn(4, 5))
-        out = birnn_layer(inputs, params)
+        out = birnn_layer(inputs, params, "rnn")
         assert out.shape == (4, 14)
 
     def test_length_one_directions_agree_with_shared_params(self):
-        params = init_birnn_params(5, 7, seed=1, dtype=np.float64)
+        params = init_birnn_params("rnn", 5, 7, seed=1, dtype=np.float64)
         for key in list(params):
-            if key.startswith("bwd."):
-                params[key] = params["fwd." + key[len("bwd.") :]]
+            if key.startswith("rnn.bwd."):
+                params[key] = params["rnn.fwd." + key[len("rnn.bwd.") :]]
         inputs = Tensor(np.random.RandomState(1).randn(1, 5))
-        out = birnn_layer(inputs, params)
+        out = birnn_layer(inputs, params, "rnn")
         assert np.allclose(out.data[0, :7], out.data[0, 7:], atol=1e-12)
 
     def test_gradient_check(self):
-        params = init_birnn_params(3, 4, seed=2, dtype=np.float64)
+        params = init_birnn_params("rnn", 3, 4, seed=2, dtype=np.float64)
         inputs = Tensor(np.random.RandomState(2).randn(5, 3), requires_grad=True)
         weights = Tensor(np.random.RandomState(3).randn(5, 8))
 
         def f():
-            return (birnn_layer(inputs, params) * weights).sum()
+            return (birnn_layer(inputs, params, "rnn") * weights).sum()
 
         checked = dict(params)
         checked["inputs"] = inputs

@@ -16,6 +16,7 @@ from desklm.heads.models import (
     TaggerData,
     TaggerModel,
 )
+from desklm.neural.tensor import Tensor
 
 
 def _tagger():
@@ -290,6 +291,36 @@ class TestGoldenTraining:
         assert float(model.loss(sentence, contextual).data) == GOLDEN_CONTEXTUAL_LOSS
 
 
+class TestPredictBuildsNoGraph:
+    @pytest.mark.parametrize(
+        "make, sentences, golden",
+        [
+            (_tagger_model, TREEBANK, GOLDEN_TAGGER_PREDICTIONS),
+            (_parser_model, TREEBANK, GOLDEN_PARSER_PREDICTIONS),
+            (_flat_model, FLAT_NER, GOLDEN_FLAT_PREDICTIONS),
+            (_nested_model, NESTED_NER, GOLDEN_NESTED_PREDICTIONS),
+        ],
+        ids=["tagger", "parser", "flat_ner", "nested_ner"],
+    )
+    def test_predict_creates_no_gradient_tracking_tensor(
+        self, monkeypatch, make, sentences, golden
+    ):
+        model = make()
+        _train(model)
+        tracked = 0
+        init = Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            nonlocal tracked
+            init(tensor, *args, **kwargs)
+            tracked += tensor.requires_grad
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        predictions = [model.predict(s) for s in sentences + [UNSEEN]]
+        assert tracked == 0
+        assert predictions == golden
+
+
 class TestTrainLoop:
     @pytest.mark.parametrize(
         "make, golden",
@@ -305,29 +336,28 @@ class TestTrainLoop:
 
 
 class TestContextualFeatures:
-    def _featurizer(self, dtype=np.float64, contextual_dim=2):
+    def _featurize(self, forms, contextual, dtype=np.float64, contextual_dim=2):
         config = FeaturizerConfig(
             word_dim=4, char_dim=3, char_hidden=3, contextual_dim=contextual_dim
         )
-        vocab = models.build_vocab(["Pes"])
-        return models.TokenFeaturizer(vocab, models.build_vocab("Pes"), config, dtype=dtype)
+        sentences = [Sentence(tokens=(Token("Pes"),))]
+        encoder = models.SequenceEncoder(sentences, 4, config, dtype)
+        return encoder.featurize(encoder.init_params(0), forms, contextual)
 
     def test_float64_features_keep_float32_parameters(self):
-        featurizer = self._featurizer(np.float32)
-        features = featurizer.featurize(["Pes", "štěká"], np.ones((2, 2), dtype=np.float64))
+        features = self._featurize(
+            ["Pes", "štěká"], np.ones((2, 2), dtype=np.float64), np.float32
+        )
         assert features.data.dtype == np.float32
 
     def test_row_count_mismatch_names_both_shapes(self):
-        featurizer = self._featurizer()
         with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(3, 2\)"):
-            featurizer.featurize(["Pes", "štěká"], np.zeros((3, 2)))
+            self._featurize(["Pes", "štěká"], np.zeros((3, 2)))
 
     def test_width_mismatch_names_both_shapes(self):
-        featurizer = self._featurizer()
         with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(2, 3\)"):
-            featurizer.featurize(["Pes", "štěká"], np.zeros((2, 3)))
+            self._featurize(["Pes", "štěká"], np.zeros((2, 3)))
 
     def test_features_for_a_model_without_contextual_width_rejected(self):
-        featurizer = self._featurizer(contextual_dim=0)
         with pytest.raises(ValueError, match=r"shape \(1, 0\), got \(1, 2\)"):
-            featurizer.featurize(["Pes"], np.zeros((1, 2)))
+            self._featurize(["Pes"], np.zeros((1, 2)), contextual_dim=0)

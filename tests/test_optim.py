@@ -54,10 +54,22 @@ class TestPlainAdam:
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
     def test_non_finite_gradient_names_parameter(self, lazy):
+        # "a" sorts before "w" and has a finite gradient: the raise must
+        # come before "a" is stepped.
         params, state, config = _setup([1.0, 2.0], lazy=lazy)
+        params["a"] = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        params["a"].grad = np.array([0.5, -0.5])
+        _step(params, np.array([0.5, -0.5]), state, config, lr=0.1)
+        values = {name: p.data.copy() for name, p in params.items()}
+        moments = {name: (m.copy(), v.copy()) for name, (m, v) in state.moments.items()}
+        steps = {name: np.copy(t) for name, t in state.steps.items()}
         with pytest.raises(FloatingPointError, match="'w'"):
             _step(params, np.array([0.0, np.nan]), state, config, lr=0.1)
-        assert np.array_equal(params["w"].data, [1.0, 2.0])
+        for name, p in params.items():
+            assert np.array_equal(p.data, values[name])
+            assert np.array_equal(state.moments[name][0], moments[name][0])
+            assert np.array_equal(state.moments[name][1], moments[name][1])
+            assert np.array_equal(state.steps[name], steps[name])
 
 
 class TestLazyAdam:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from desklm.neural.layers import layer_norm
 from desklm.neural.tensor import Tensor, concat, log_softmax, logsumexp, softmax
 from desklm.neural.gradcheck import gradient_check
 
@@ -161,3 +162,32 @@ class TestGraphMechanics:
         x = _param(np.inf)
         with pytest.raises(FloatingPointError):
             gradient_check(lambda: x * 1.0, {"x": x})
+
+
+GRAPH_OPS = {
+    "add": lambda x: x + x,
+    "neg": lambda x: -x,
+    "mul": lambda x: x * x,
+    "matmul": lambda x: x @ x,
+    "exp": lambda x: x.exp(),
+    "log": lambda x: x.log(),
+    "tanh": lambda x: x.tanh(),
+    "sigmoid": lambda x: x.sigmoid(),
+    "gelu": lambda x: x.gelu(),
+    "reshape": lambda x: x.reshape(4),
+    "transpose": lambda x: x.transpose(),
+    "getitem": lambda x: x[0],
+    "sum": lambda x: x.sum(),
+    "concat": lambda x: concat([x, x]),
+    "softmax": lambda x: softmax(x),
+    "layer_norm": lambda x: layer_norm(x, x[0], x[1]),
+}
+
+
+class TestGraphNodes:
+    @pytest.mark.parametrize("op", GRAPH_OPS.values(), ids=GRAPH_OPS.keys())
+    def test_node_over_constants_keeps_no_closure(self, op):
+        out = op(Tensor(np.array([[1.0, 2.0], [3.0, 5.0]])))
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
