@@ -14,18 +14,22 @@ records which method produced it.  Input size alone picks the method: a
 branch and bound cut off after a step budget, in place of the
 hill-climber, found fewer matched items on most 11-16-node pairs.
 
-Both searches score moves incrementally.  Under an injective mapping the
-matched-item count is a sum of independent terms: one per mapped gold
-node (tops, label, anchors, properties against its image) and one per
-group of gold edges sharing a (source, target, label) key (edges and
-their attributes against the edges between the endpoints' images).
-These terms are precomputed once per pair (``_Problem``).  Branch and
-bound carries the running score down the recursion, adding a node's pair
-term and the terms of its edges to already-mapped nodes; the bound
-charges each edge group once, at its later endpoint in the search order,
-the largest of its terms: the most it can match in this system graph.
-The hill-climber scores a trial move from the terms of the moved node
-and the node it displaces only.  ``_mapping_score`` re-scores a whole
+Both searches score moves incrementally, on tables indexed by node
+position (``_Problem``), one position past the last system node standing
+for "unmapped" and scoring 0.  Under an injective mapping the
+matched-item count is a sum of independent terms: a row per gold node
+(tops, label, anchors, properties and self-loops against each image)
+and a table per pair of linked gold nodes (the edges between them and
+their attributes against the edges between each pair of images).  Branch
+and bound carries the running score down the recursion, adding a node's
+row entry and its tables' entries at the images of already-mapped
+nodes; the bound charges each group of gold edges sharing a (source,
+target, label) key once, at its later endpoint in the search order, the
+largest of its terms: the most it can match in this system graph.  The
+hill-climber keeps, for each gold node, its row plus its tables at its
+neighbours' images (``_Assignment``), so a trial move's gain reads the
+rows of the moved node and the node it displaces, and a move updates the
+rows of their neighbours only.  ``_mapping_score`` re-scores a whole
 mapping and is the reference the tests compare against.
 """
 
@@ -299,30 +303,34 @@ class McesAlignment:
 
 @dataclass(frozen=True)
 class _Problem:
-    """One gold/system pair, precomputed once for both searches.
+    """One gold/system pair as tables indexed by node position, built once
+    for both searches.
 
-    Under an injective mapping distinct gold nodes, and so distinct gold
-    edge keys, have distinct images, and the counter intersections of
-    ``_facet_correct`` split into independent terms:
+    Gold node ``i`` is ``gold_ids[i]`` and system node ``a`` is
+    ``system_ids[a]``; position ``m = len(system_ids)`` means "unmapped",
+    and every table is 0 there.  Under an injective mapping distinct gold
+    nodes, and so distinct gold edge keys, have distinct images, and the
+    counter intersections of ``_facet_correct`` split into independent
+    terms:
 
-    - ``pair[g][s]``: the tops, label, anchors and properties matched by
-      mapping gold node ``g`` to system node ``s``;
-    - for each group of gold edges sharing the key ``(src, tgt, label)``,
-      ``terms[(a, b)]``: the edges and attributes it matches once ``src``
-      maps to ``a`` and ``tgt`` to ``b`` (0 for any pair not in ``terms``).
+    - ``pair[i][a]``: the tops, label, anchors and properties matched by
+      mapping ``i`` to ``a``; ``own[i][a]`` adds the self-loops of ``i``;
+    - ``links[i][k][a][b]``: the edges between ``i`` and another node
+      ``k``, and their attributes, matched once ``i`` maps to ``a`` and
+      ``k`` to ``b``; ``links[k][i]`` holds the same terms transposed.
 
-    ``groups`` holds each group's ``(src, tgt, weight, cap)``, where
-    ``weight`` counts its gold edges and attributes and ``cap``, the largest
-    value in ``terms``, is the most it can match in this system graph;
-    ``incident[g]`` holds ``(other endpoint, terms, g is the source)`` for
-    each group touching gold node ``g``.
+    ``groups`` holds ``(src, tgt, weight, cap)`` for each group of gold
+    edges sharing a ``(src, tgt, label)`` key: its endpoints' positions,
+    its count of gold edges and attributes, and the largest of its terms,
+    the most it can match in this system graph.
     """
 
     gold_ids: list[int]
     system_ids: list[int]
-    pair: dict[int, dict[int, int]]
+    pair: list[list[int]]
+    own: list[list[int]]
+    links: list[dict[int, list[list[int]]]]
     groups: list[tuple[int, int, int, int]]
-    incident: dict[int, list[tuple[int, dict[tuple[int, int], int], bool]]]
 
     @classmethod
     def build(
@@ -330,16 +338,19 @@ class _Problem:
     ) -> "_Problem":
         gold_ids = [n.id for n in gold_graph.nodes]
         system_ids = [n.id for n in system_graph.nodes]
+        m = len(system_ids)
+        gold_at = {g: i for i, g in enumerate(gold_ids)}
+        system_at = {s: a for a, s in enumerate(system_ids)}
         gold_props = _properties_by_node(gold)
         system_props = _properties_by_node(system)
-        pair: dict[int, dict[int, int]] = {}
+        pair = []
         for g in gold_ids:
             label = gold.labels.get(g)
             anchors = gold.anchors.get(g)
             props = gold_props.get(g, {})
             top = g in gold.tops
-            pair[g] = {
-                s: (top and s in system.tops)
+            pair.append([
+                (top and s in system.tops)
                 + (label is not None and label == system.labels.get(s))
                 + (anchors is not None and anchors == system.anchors.get(s))
                 + sum(
@@ -347,7 +358,8 @@ class _Problem:
                     for key, count in props.items()
                 )
                 for s in system_ids
-            }
+            ] + [0])
+        own = [list(row) for row in pair]
 
         gold_attributes: dict[tuple, list[tuple[str, str, int]]] = {}
         for (src, tgt, label, name, value), count in gold.attributes.items():
@@ -356,47 +368,90 @@ class _Problem:
         for (a, b, label), count in system.edges.items():
             system_edges.setdefault(label, []).append((a, b, count))
         groups = []
-        incident: dict[int, list] = {g: [] for g in gold_ids}
+        links: list[dict[int, list[list[int]]]] = [{} for _ in gold_ids]
         for (src, tgt, label), count in gold.edges.items():
+            i, k = gold_at[src], gold_at[tgt]
+            if k != i and k not in links[i]:
+                links[i][k] = [[0] * (m + 1) for _ in range(m + 1)]
+                links[k][i] = [[0] * (m + 1) for _ in range(m + 1)]
             attributes = gold_attributes.get((src, tgt, label), [])
-            terms = {
-                (a, b): min(count, system_count)
-                + sum(
+            cap = 0
+            for a, b, system_count in system_edges.get(label, []):
+                term = min(count, system_count) + sum(
                     min(c, system.attributes.get((a, b, label, name, value), 0))
                     for name, value, c in attributes
                 )
-                for a, b, system_count in system_edges.get(label, [])
-            }
+                cap = max(cap, term)
+                x, y = system_at[a], system_at[b]
+                if k != i:
+                    links[i][k][x][y] += term
+                    links[k][i][y][x] += term
+                elif x == y:
+                    own[i][x] += term
             weight = count + sum(c for _, _, c in attributes)
-            groups.append((src, tgt, weight, max(terms.values(), default=0)))
-            incident[src].append((tgt, terms, True))
-            if tgt != src:
-                incident[tgt].append((src, terms, False))
-        return cls(gold_ids, system_ids, pair, groups, incident)
+            groups.append((i, k, weight, cap))
+        return cls(gold_ids, system_ids, pair, own, links, groups)
 
-    def local_score(self, mapping: dict[int, int], changed: dict[int, int | None]) -> int:
-        """Pair terms of the nodes in ``changed`` plus the terms of every edge
-        group touching one of them, under ``mapping`` overridden by
-        ``changed`` (``None`` leaves a node unmapped).
+    def mapping(self, image: list[int]) -> dict[int, int]:
+        """Gold id to system id for each mapped position in ``image``."""
+        m = len(self.system_ids)
+        return {self.gold_ids[i]: self.system_ids[a] for i, a in enumerate(image) if a < m}
 
-        For a node ``g`` missing from ``mapping``, ``local_score(mapping,
-        {g: s})`` is the gain of adding ``g -> s``; a move's gain is the
-        difference of this score after and before it.
-        """
-        total = 0
-        done: tuple[int, ...] = ()
-        for node, image in changed.items():
-            # An unmapped node's groups all score 0.
-            if image is not None:
-                total += self.pair[node][image]
-                for other, terms, forward in self.incident[node]:
-                    # A group between two changed nodes counts once.
-                    if other in done:
-                        continue
-                    t = changed[other] if other in changed else mapping.get(other)
-                    total += terms.get((image, t) if forward else (t, image), 0)
-            done += (node,)
-        return total
+
+class _Assignment:
+    """A partial injective mapping of a ``_Problem``'s gold nodes.
+
+    ``image[i]`` is the system position of gold node ``i`` (``m``:
+    unmapped) and ``owner[a]`` the gold node at system position ``a``
+    (-1: none, always at ``m``).  ``rows[i][a]`` is what ``i`` matches at
+    ``a`` with every other node where it is: ``own[i][a]`` plus, for each
+    linked node ``k``, ``links[i][k][a][image[k]]``.  A move of ``k``
+    changes only the rows of the nodes linked to it.
+    """
+
+    def __init__(self, problem: _Problem):
+        m = len(problem.system_ids)
+        self.links = problem.links
+        self.image = [m] * len(problem.gold_ids)
+        self.owner = [-1] * (m + 1)
+        self.rows = [list(row) for row in problem.own]
+
+    def gains(self, i: int) -> list[int]:
+        """The change in matched items of moving gold node ``i`` to each
+        system position, ``m`` last; the node at the new position, if any,
+        takes the old one of ``i``."""
+        x = self.image[i]
+        rows, links = self.rows, self.links[i]
+        row = rows[i]
+        here = row[x]
+        gains = []
+        for y, displaced in enumerate(self.owner):
+            gain = row[y] - here
+            if displaced >= 0:
+                other = rows[displaced]
+                gain += other[x] - other[y]
+                table = links.get(displaced)
+                if table is not None:
+                    # Both rows read the pair's terms at its positions before
+                    # the move: swap them for its terms after it.
+                    gain += table[y][x] + table[x][y] - table[y][y] - table[x][x]
+            gains.append(gain)
+        return gains
+
+    def move(self, i: int, y: int) -> None:
+        """Move gold node ``i`` to position ``y``; the node there, if any,
+        takes the old position of ``i``."""
+        x, displaced = self.image[i], self.owner[y]
+        self._place(i, y)
+        if displaced >= 0:
+            self._place(displaced, x)
+        self.owner[x], self.owner[y] = displaced, i
+        self.owner[-1] = -1
+
+    def _place(self, k: int, b: int) -> None:
+        a, self.image[k] = self.image[k], b
+        for i, table in self.links[k].items():
+            self.rows[i] = [r + new - old for r, new, old in zip(self.rows[i], table[b], table[a])]
 
 
 def _properties_by_node(index: _FacetIndex) -> dict[int, dict[tuple[str, str], int]]:
@@ -407,118 +462,108 @@ def _properties_by_node(index: _FacetIndex) -> dict[int, dict[tuple[str, str], i
 
 
 def _exact_search(problem: _Problem) -> dict[int, int]:
-    pair = problem.pair
-    gold_ids = list(problem.gold_ids)
-    best_pair = {g: max(pair[g].values(), default=0) for g in gold_ids}
-    edge_weight: dict[int, int] = dict.fromkeys(gold_ids, 0)
-    for src, tgt, weight, _ in problem.groups:
-        edge_weight[src] += weight
-        if tgt != src:
-            edge_weight[tgt] += weight
+    pair, own, links = problem.pair, problem.own, problem.links
+    n, m = len(problem.gold_ids), len(problem.system_ids)
+    best_pair = [max(row) for row in pair]
+    edge_weight = [0] * n
+    for i, k, weight, _ in problem.groups:
+        edge_weight[i] += weight
+        if k != i:
+            edge_weight[k] += weight
 
     # Order gold nodes by optimistic contribution, largest first, so good
     # assignments surface early and the bound prunes aggressively.
-    gold_ids.sort(key=lambda g: -(best_pair[g] + edge_weight[g]))
-    # Optimistic remaining gain from suffix [i:]: its best pair scores plus
+    order = sorted(range(n), key=lambda i: -(best_pair[i] + edge_weight[i]))
+    # Optimistic remaining gain from suffix [d:]: its best pair scores plus
     # the cap of every edge group whose later endpoint in this order lies
     # in it (a group with both endpoints in the prefix is already in
     # ``current``).
-    position = {g: i for i, g in enumerate(gold_ids)}
-    closing = [0] * len(gold_ids)
-    for src, tgt, _, cap in problem.groups:
-        closing[max(position[src], position[tgt])] += cap
-    suffix_bound = [0] * (len(gold_ids) + 1)
-    for i in range(len(gold_ids) - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + best_pair[gold_ids[i]] + closing[i]
+    depth_of = [0] * n
+    for depth, i in enumerate(order):
+        depth_of[i] = depth
+    closing = [0] * n
+    for i, k, _, cap in problem.groups:
+        closing[max(depth_of[i], depth_of[k])] += cap
+    suffix_bound = [0] * (n + 1)
+    for depth in range(n - 1, -1, -1):
+        suffix_bound[depth] = suffix_bound[depth + 1] + best_pair[order[depth]] + closing[depth]
     # Filtering this stable order by ``used`` gives the same order as
     # sorting the unused candidates.
-    candidates = {g: sorted(problem.system_ids, key=lambda s: -pair[g][s]) for g in gold_ids}
+    candidates = [sorted(range(m), key=lambda a: -pair[i][a]) for i in order]
 
-    best_mapping: dict[int, int] = {}
+    image = [m] * n
+    used = [False] * m
+    best_image = list(image)
     best_score = 0
 
-    def recurse(index: int, current: int, mapping: dict[int, int], used: set[int]):
-        nonlocal best_mapping, best_score
-        if current + suffix_bound[index] <= best_score:
+    def recurse(depth: int, current: int):
+        nonlocal best_image, best_score
+        if current + suffix_bound[depth] <= best_score:
             return
-        if index == len(gold_ids):
+        if depth == n:
             best_score = current
-            best_mapping = dict(mapping)
+            best_image = list(image)
             return
-        g = gold_ids[index]
-        for s in candidates[g]:
-            if s in used:
+        i = order[depth]
+        row, linked = own[i], links[i].items()
+        for a in candidates[depth]:
+            if used[a]:
                 continue
-            gain = problem.local_score(mapping, {g: s})
-            mapping[g] = s
-            used.add(s)
-            recurse(index + 1, current + gain, mapping, used)
-            del mapping[g]
-            used.remove(s)
-        recurse(index + 1, current, mapping, used)
+            # Nodes not yet mapped sit at ``m``, where every table is 0.
+            gain = row[a]
+            for k, table in linked:
+                gain += table[a][image[k]]
+            image[i] = a
+            used[a] = True
+            recurse(depth + 1, current + gain)
+            used[a] = False
+        image[i] = m
+        recurse(depth + 1, current)
 
-    recurse(0, 0, {}, set())
-    return best_mapping
+    recurse(0, 0)
+    return problem.mapping(best_image)
 
 
-def _greedy_start(problem: _Problem, rng: random.Random) -> tuple[dict[int, int], int]:
-    order = list(problem.gold_ids)
+def _greedy_start(problem: _Problem, rng: random.Random) -> tuple[_Assignment, int]:
+    order = list(range(len(problem.gold_ids)))
     rng.shuffle(order)
-    available = set(problem.system_ids)
-    mapping: dict[int, int] = {}
+    # ``max`` takes the first best of the free positions in id order: the
+    # smallest system id.
+    free = sorted(range(len(problem.system_ids)), key=problem.system_ids.__getitem__)
+    assignment = _Assignment(problem)
     score = 0
-    for g in order:
-        if not available:
+    for i in order:
+        if not free:
             break
-        scores = problem.pair[g]
-        best_s = max(sorted(available), key=lambda s: (scores[s], -s))
-        score += problem.local_score(mapping, {g: best_s})
-        mapping[g] = best_s
-        available.remove(best_s)
-    return mapping, score
+        a = max(free, key=problem.pair[i].__getitem__)
+        free.remove(a)
+        score += assignment.rows[i][a]
+        assignment.move(i, a)
+    return assignment, score
 
 
 def _hill_climb(problem: _Problem, restarts: int, seed: int) -> dict[int, int]:
-    moves = problem.system_ids + [None]
-    best_mapping: dict[int, int] = {}
+    n = len(problem.gold_ids)
+    best_image: list[int] = []
     best_score = 0
     for restart in range(restarts):
         rng = random.Random(seed * 1_000_003 + restart)
-        mapping, score = _greedy_start(problem, rng)
-        owner = {s: g for g, s in mapping.items()}
-        improved = True
-        while improved:
-            improved = False
-            for g in problem.gold_ids:
-                current_s = mapping.get(g)
-                for s in moves:
-                    if s == current_s:
-                        continue
-                    # Move g to s; whoever held s takes g's old image.
-                    changed = {g: s}
-                    displaced = owner.get(s)
-                    if displaced is not None:
-                        changed[displaced] = current_s
-                    gain = problem.local_score(mapping, changed) - problem.local_score(
-                        mapping, {node: mapping.get(node) for node in changed}
-                    )
-                    if gain > 0:
-                        for node in changed:
-                            owner.pop(mapping.get(node), None)
-                        for node, image in changed.items():
-                            if image is None:
-                                del mapping[node]
-                            else:
-                                mapping[node] = image
-                                owner[image] = node
-                        score += gain
-                        improved = True
-                        break
-                if improved:
-                    break
+        assignment, score = _greedy_start(problem, rng)
+        # Take the first improving move, gold nodes in order and each one's
+        # targets in system order then unmapped, and scan again from the
+        # first gold node.
+        while True:
+            improving = ((i, y, gain) for i in range(n)
+                         for y, gain in enumerate(assignment.gains(i)) if gain > 0)
+            move = next(improving, None)
+            if move is None:
+                break
+            i, y, gain = move
+            assignment.move(i, y)
+            score += gain
         if score > best_score:
-            best_mapping, best_score = mapping, score
-    return best_mapping
+            best_image, best_score = assignment.image, score
+    return problem.mapping(best_image)
 
 
 def mces_align(gold: MrpGraph, system: MrpGraph) -> McesAlignment:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from desklm.neural.tensor import Tensor
 
 
 @dataclass

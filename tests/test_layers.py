@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from desklm.neural.gradcheck import gradient_check
 from desklm.neural.layers import (
     TransformerConfig,
     birnn_layer,
@@ -20,6 +19,7 @@ from desklm.neural.layers import (
 )
 from desklm.neural.tensor import Tensor, softmax
 
+from gradcheck import gradient_check
 import reference_ops
 
 

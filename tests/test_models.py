@@ -139,6 +139,21 @@ def _nested_model():
     return NestedNerModel(NESTED_NER, hidden=4, featurizer_config=TINY, seed=5, dtype=np.float64)
 
 
+@pytest.fixture(scope="module")
+def trained():
+    """``trained(make)``: the model ``make`` builds, after its 20-step run,
+    and the losses of that run.  Each model trains once per module."""
+    runs = {}
+
+    def run(make):
+        if make not in runs:
+            model = make()
+            runs[make] = model, _train(model)
+        return runs[make]
+
+    return run
+
+
 GOLDEN_TAGGER_LOSSES = [
     3.8734222163826453,
     3.902085954824587,
@@ -254,30 +269,30 @@ GOLDEN_CONTEXTUAL_LOSS = 3.875173373436952
 
 
 class TestGoldenTraining:
-    def test_tagger(self):
-        model = _tagger_model()
-        assert _train(model) == GOLDEN_TAGGER_LOSSES
+    def test_tagger(self, trained):
+        model, losses = trained(_tagger_model)
+        assert losses == GOLDEN_TAGGER_LOSSES
         assert _digest(model.params) == GOLDEN_TAGGER_DIGEST
         predictions = [model.predict(s) for s in TREEBANK + [UNSEEN]]
         assert predictions == GOLDEN_TAGGER_PREDICTIONS
 
-    def test_joint_parser(self):
-        model = _parser_model()
-        assert _train(model) == GOLDEN_PARSER_LOSSES
+    def test_joint_parser(self, trained):
+        model, losses = trained(_parser_model)
+        assert losses == GOLDEN_PARSER_LOSSES
         assert _digest(model.params) == GOLDEN_PARSER_DIGEST
         predictions = [model.predict(s) for s in TREEBANK + [UNSEEN]]
         assert predictions == GOLDEN_PARSER_PREDICTIONS
 
-    def test_flat_ner(self):
-        model = _flat_model()
-        assert _train(model) == GOLDEN_FLAT_LOSSES
+    def test_flat_ner(self, trained):
+        model, losses = trained(_flat_model)
+        assert losses == GOLDEN_FLAT_LOSSES
         assert _digest(model.params) == GOLDEN_FLAT_DIGEST
         predictions = [model.predict(s) for s in FLAT_NER + [UNSEEN]]
         assert predictions == GOLDEN_FLAT_PREDICTIONS
 
-    def test_nested_ner(self):
-        model = _nested_model()
-        assert _train(model) == GOLDEN_NESTED_LOSSES
+    def test_nested_ner(self, trained):
+        model, losses = trained(_nested_model)
+        assert losses == GOLDEN_NESTED_LOSSES
         assert _digest(model.params) == GOLDEN_NESTED_DIGEST
         predictions = [model.predict(s) for s in NESTED_NER + [UNSEEN]]
         assert predictions == GOLDEN_NESTED_PREDICTIONS
@@ -303,10 +318,9 @@ class TestPredictBuildsNoGraph:
         ids=["tagger", "parser", "flat_ner", "nested_ner"],
     )
     def test_predict_creates_no_gradient_tracking_tensor(
-        self, monkeypatch, make, sentences, golden
+        self, monkeypatch, trained, make, sentences, golden
     ):
-        model = make()
-        _train(model)
+        model, _ = trained(make)
         tracked = 0
         init = Tensor.__init__
 
@@ -331,8 +345,9 @@ class TestTrainLoop:
             (_nested_model, GOLDEN_NESTED_LOSSES),
         ],
     )
-    def test_train_reproduces_golden_losses(self, make, golden):
-        assert models.train(make(), steps=STEPS, lr=5e-2, seed=3) == golden
+    def test_train_reproduces_golden_losses(self, trained, make, golden):
+        _, losses = trained(make)
+        assert losses == golden
 
 
 class TestContextualFeatures:

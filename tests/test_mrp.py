@@ -14,6 +14,7 @@ from desklm.metrics.mrp import (
     MrpError,
     MrpGraph,
     MrpNode,
+    _Assignment,
     _FacetIndex,
     _hill_climb,
     _mapping_score,
@@ -24,6 +25,8 @@ from desklm.metrics.mrp import (
     read_mrp_jsonl,
     write_mrp_jsonl,
 )
+
+import reference_mrp
 
 
 def _brute_force_best(gold: MrpGraph, system: MrpGraph) -> int:
@@ -42,11 +45,13 @@ def _brute_force_best(gold: MrpGraph, system: MrpGraph) -> int:
     return best
 
 
-def _hill_climb_alignment(gold: MrpGraph, system: MrpGraph, seed: int) -> McesAlignment:
+def _hill_climb_alignment(
+    gold: MrpGraph, system: MrpGraph, seed: int, restarts: int = RESTARTS
+) -> McesAlignment:
     """The hill-climber's alignment of any pair, under ``seed``."""
     gold_index, system_index = _FacetIndex.build(gold), _FacetIndex.build(system)
     problem = _Problem.build(gold, gold_index, system, system_index)
-    mapping = _hill_climb(problem, RESTARTS, seed)
+    mapping = _hill_climb(problem, restarts, seed)
     return McesAlignment(mapping, _mapping_score(gold_index, system_index, mapping), exact=False)
 
 
@@ -274,42 +279,67 @@ class TestMcesAlign:
 
 class TestIncrementalScore:
     def test_local_score_matches_full_rescoring(self):
+        # The hill-climber's move gains and row updates (``_Assignment``)
+        # against a full re-score after every move.
         rng = random.Random(29)
         for trial in range(200):
             gold = _dense_graph(rng, f"g{trial}", rng.randint(1, 7))
             system = _dense_graph(rng, f"s{trial}", rng.randint(1, 7))
             gold_index, system_index = _FacetIndex.build(gold), _FacetIndex.build(system)
             problem = _Problem.build(gold, gold_index, system, system_index)
-            # A random partial injective mapping, built one node at a time.
-            mapping, score = {}, 0
-            images = rng.sample(problem.system_ids, len(problem.system_ids))
-            for g in rng.sample(problem.gold_ids, len(problem.gold_ids)):
-                if images and rng.random() < 0.7:
-                    s = images.pop()
-                    score += problem.local_score(mapping, {g: s})
-                    mapping[g] = s
-                    assert score == _mapping_score(gold_index, system_index, mapping), trial
-            # Random moves: to a free image, to an image another node holds
-            # (which takes g's old image), or to no image.
-            for _ in range(20):
-                g = rng.choice(problem.gold_ids)
-                s = rng.choice(problem.system_ids + [None])
-                if s == mapping.get(g):
-                    continue
-                changed = {g: s}
-                holder = next((k for k, v in mapping.items() if v == s), None)
-                if holder is not None:
-                    changed[holder] = mapping.get(g)
-                gain = problem.local_score(mapping, changed) - problem.local_score(
-                    mapping, {node: mapping.get(node) for node in changed}
-                )
-                mapping = {
-                    node: image
-                    for node, image in {**mapping, **changed}.items()
-                    if image is not None
-                }
-                score += gain
+            n, m = len(problem.gold_ids), len(problem.system_ids)
+            assignment, score = _Assignment(problem), 0
+
+            def check():
+                image, owner = assignment.image, assignment.owner
+                assert owner == [image.index(a) if a in image else -1 for a in range(m)] + [-1]
+                mapping = problem.mapping(image)
                 assert score == _mapping_score(gold_index, system_index, mapping), trial
+
+            # A random partial injective mapping, built one node at a time.
+            images = rng.sample(range(m), m)
+            for i in rng.sample(range(n), n):
+                if images and rng.random() < 0.7:
+                    a = images.pop()
+                    score += assignment.gains(i)[a]
+                    assignment.move(i, a)
+                    check()
+            # Random moves: to a free image, to an image another node holds
+            # (which takes the old image of i), or to no image (position m).
+            for _ in range(20):
+                i = rng.randrange(n)
+                a = rng.randrange(m + 1)
+                if a == assignment.image[i]:
+                    continue
+                score += assignment.gains(i)[a]
+                assignment.move(i, a)
+                check()
+
+
+class TestReferenceSearches:
+    """The searches on index tables return the same mappings as the
+    dict-keyed searches they replaced, frozen in ``reference_mrp``."""
+
+    @staticmethod
+    def _pair(rng: random.Random, trial: int, most: int) -> tuple[MrpGraph, MrpGraph]:
+        n = rng.randint(1, most)
+        m = rng.choice([k for k in range(1, most + 1) if k != n])
+        return _dense_graph(rng, f"g{trial}", n), _dense_graph(rng, f"s{trial}", m)
+
+    def test_hill_climb_matches_reference(self):
+        # Four restarts under a seed per pair keep the reference's time
+        # down; every restart still starts from its own greedy mapping.
+        rng = random.Random(41)
+        for trial in range(300):
+            gold, system = self._pair(rng, trial, 16)
+            expected = reference_mrp.hill_climb_alignment(gold, system, 4, trial)
+            assert _hill_climb_alignment(gold, system, trial, 4) == expected, trial
+
+    def test_exact_search_matches_reference(self):
+        rng = random.Random(43)
+        for trial in range(300):
+            gold, system = self._pair(rng, trial, 8)
+            assert mces_align(gold, system) == reference_mrp.exact_alignment(gold, system), trial
 
 
 class TestGoldenMappings:

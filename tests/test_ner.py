@@ -23,8 +23,9 @@ from desklm.heads.ner import (
     spans_to_bio,
     validate_bio,
 )
-from desklm.neural.gradcheck import gradient_check
 from desklm.neural.tensor import Tensor
+
+from gradcheck import gradient_check
 
 
 def _enumerate_log_partition(emissions, transitions, start):

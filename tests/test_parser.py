@@ -12,8 +12,9 @@ from desklm.heads.parser import (
     decode_tree,
     init_biaffine_params,
 )
-from desklm.neural.gradcheck import gradient_check
 from desklm.neural.tensor import Tensor
+
+from gradcheck import gradient_check
 
 
 @functools.lru_cache(maxsize=None)

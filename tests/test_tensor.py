@@ -5,7 +5,8 @@ import pytest
 
 from desklm.neural.layers import layer_norm
 from desklm.neural.tensor import Tensor, concat, log_softmax, logsumexp, softmax
-from desklm.neural.gradcheck import gradient_check
+
+from gradcheck import gradient_check
 
 
 def _param(values):
