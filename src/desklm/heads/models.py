@@ -5,18 +5,31 @@ builds the word and character vocabularies, embeds each token from three
 streams (an end-to-end word embedding, a character-level BiGRU embedding
 and optional frozen contextual vectors appended as-is), and runs three
 stacked bidirectional GRU layers.  The encoder holds no weights: it reads
-the ones it is given.  Every task model owns one encoder and one weight
-map, ``params``, with the encoder's weights and its heads over the
-states: softmax taggers (POS + lemma category), a biaffine parser trained
-jointly with the taggers, and CRF or stack-string classifiers for NER.
-Each model exposes ``sentences``, ``params`` and ``loss(sentence)``, and
-:func:`train` is the one training loop for all of them.  ``predict`` runs
-on ``constants(self.params)`` and so builds no autograd graph.
+the ones it is given.
+
+:class:`TaskModel` is the one model class.  It owns an encoder, the one
+weight map ``params`` and a tuple of heads over the encoder states, which
+are trained jointly (UDPipe 2 style).  A head is built from the training
+sentences and has three methods:
+
+- ``init(encoder, seed)`` returns its named weights, drawn from its own
+  seed offset (tagger ``+100``, parser ``+300``/``+400``, CRF ``+500``,
+  stack ``+600``);
+- ``loss(params, states, sentence)`` returns a tuple of loss terms;
+- ``predict(params, states, sentence)`` returns its prediction.
+
+The heads are :class:`TaggerHead` (POS + lemma category),
+:class:`ParserHead` (biaffine), :class:`CrfNerHead` (flat NER) and
+:class:`StackNerHead` (nested NER).  The joint parser is
+``(ParserHead, TaggerHead)``.  :func:`train` is the one training loop.
+``predict`` runs on ``constants(params)`` and so builds no autograd graph.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +40,6 @@ from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
 from ..neural.tensor import Tensor, concat, constants
 from .lemma import (
     EditScriptError,
-    LemmaCategoryInventory,
     apply_edit_script,
     build_lemma_inventory,
     derive_edit_script,
@@ -58,6 +70,10 @@ def build_vocab(items: Sequence[str]) -> dict[str, int]:
     for item in items:
         vocab.setdefault(item, len(vocab))
     return vocab
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass
@@ -94,7 +110,7 @@ class SequenceEncoder:
 
     def init_params(self, seed: int) -> dict[str, Tensor]:
         config, dtype = self.config, self.dtype
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = _rng(seed)
         params = {
             "word_emb": uniform_param(
                 rng, (len(self.word_vocab), config.word_dim), config.word_dim, dtype
@@ -162,108 +178,58 @@ class SequenceEncoder:
             states = birnn_layer(states, params, f"rnn{layer}")
         return states
 
-    def linear_head(self, rng: np.random.Generator, name: str, size: int) -> dict[str, Tensor]:
-        """``name.w`` and ``name.b`` of a linear map from the states to
-        ``size`` outputs."""
-        dim = self.output_dim
-        return {
-            f"{name}.w": uniform_param(rng, (dim, size), dim, self.dtype),
-            f"{name}.b": zeros_param((size,), self.dtype),
-        }
+
+def linear_head(
+    encoder: SequenceEncoder, rng: np.random.Generator, name: str, size: int
+) -> dict[str, Tensor]:
+    """``name.w`` and ``name.b`` of a linear map from the encoder states to
+    ``size`` outputs."""
+    dim = encoder.output_dim
+    return {
+        f"{name}.w": uniform_param(rng, (dim, size), dim, encoder.dtype),
+        f"{name}.b": zeros_param((size,), encoder.dtype),
+    }
 
 
 def _linear(states: Tensor, params: dict[str, Tensor], name: str) -> Tensor:
     return states @ params[f"{name}.w"] + params[f"{name}.b"]
 
 
-@dataclass
-class TaggerData:
-    """Training view of an annotated corpus for the tagger/lemmatizer."""
+class TaskModel:
+    """The sequence encoder and one weight map shared by a tuple of heads.
 
-    sentences: list[Sentence]
-    tagset: dict[str, int]
-    inventory: LemmaCategoryInventory
-
-    @classmethod
-    def from_sentences(cls, sentences: Sequence[Sentence]) -> "TaggerData":
-        tags = sorted(
-            {token.upos or "_" for sentence in sentences for token in sentence.tokens}
-        )
-        pairs = [
-            (token.form, token.lemma or token.form)
-            for sentence in sentences
-            for token in sentence.tokens
-        ]
-        return cls(
-            sentences=list(sentences),
-            tagset={tag: i for i, tag in enumerate(tags)},
-            inventory=build_lemma_inventory(pairs),
-        )
-
-    def tag_ids(self, sentence: Sentence) -> list[int]:
-        return [self.tagset[token.upos or "_"] for token in sentence.tokens]
-
-    def lemma_ids(self, sentence: Sentence) -> list[int]:
-        return [
-            self.inventory.id_of(
-                derive_edit_script(token.form, token.lemma or token.form)
-            )
-            for token in sentence.tokens
-        ]
-
-
-class TaggerModel:
-    """Joint POS + lemma-category classifier over the sequence encoder."""
+    ``loss`` encodes the sentence once and adds every head's loss terms in
+    head order; ``predict`` returns one prediction per head."""
 
     def __init__(
         self,
-        data: TaggerData,
+        sentences: Sequence[Sentence],
+        heads: Sequence,
         hidden: int = 24,
         featurizer_config: FeaturizerConfig | None = None,
         seed: int = 0,
         dtype=np.float32,
     ):
-        self.data = data
-        self.sentences = data.sentences
-        self.encoder = SequenceEncoder(data.sentences, hidden, featurizer_config, dtype)
+        self.sentences = list(sentences)
+        self.heads = tuple(heads)
+        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, dtype)
         self.params = self.encoder.init_params(seed)
-        rng = np.random.Generator(np.random.PCG64(seed + 100))
-        self.params.update(self.encoder.linear_head(rng, "tag", len(data.tagset)))
-        self.params.update(self.encoder.linear_head(rng, "lemma", len(data.inventory)))
-
-    def head_losses(
-        self, params: dict[str, Tensor], states: Tensor, sentence: Sentence
-    ) -> tuple[Tensor, Tensor]:
-        """(tag loss, lemma-category loss) of the encoded ``sentence``."""
-        return (
-            mlm_loss(_linear(states, params, "tag"), self.data.tag_ids(sentence)),
-            mlm_loss(_linear(states, params, "lemma"), self.data.lemma_ids(sentence)),
-        )
+        for head in self.heads:
+            self.params.update(head.init(self.encoder, seed))
 
     def loss(self, sentence: Sentence, contextual=None) -> Tensor:
         states = self.encoder.encode(self.params, sentence, contextual)
-        tag_loss, lemma_loss = self.head_losses(self.params, states, sentence)
-        return tag_loss + lemma_loss
+        terms = [t for head in self.heads for t in head.loss(self.params, states, sentence)]
+        return reduce(operator.add, terms)
 
-    def predict(self, sentence: Sentence, contextual=None) -> tuple[list[str], list[str]]:
+    def predict(self, sentence: Sentence, contextual=None) -> list:
         params = constants(self.params)
         states = self.encoder.encode(params, sentence, contextual)
-        tag_logits = _linear(states, params, "tag")
-        lemma_logits = _linear(states, params, "lemma")
-        id_to_tag = {i: t for t, i in self.data.tagset.items()}
-        tags = [id_to_tag[int(i)] for i in np.argmax(tag_logits.data, axis=-1)]
-        lemmas = []
-        for token, category in zip(sentence.tokens, np.argmax(lemma_logits.data, axis=-1)):
-            script = self.data.inventory.categories[int(category)]
-            try:
-                lemmas.append(apply_edit_script(token.form, script))
-            except EditScriptError:
-                lemmas.append(token.form)
-        return tags, lemmas
+        return [head.predict(params, states, sentence) for head in self.heads]
 
 
 def train(
-    model,
+    model: TaskModel,
     steps: int = 300,
     lr: float = 5e-3,
     seed: int = 0,
@@ -271,7 +237,7 @@ def train(
     """Single-sentence Adam steps on sentences drawn uniformly from
     ``model.sentences``; returns the per-step losses."""
     state = AdamState()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     losses = []
     for _ in range(steps):
         sentence = model.sentences[int(rng.integers(0, len(model.sentences)))]
@@ -283,156 +249,154 @@ def train(
     return losses
 
 
-class JointParserModel:
-    """Biaffine parser sharing the encoder with the tagger heads; losses
-    are summed with equal weights."""
+class TaggerHead:
+    """Softmax POS tagger and lemma-category classifier."""
 
-    def __init__(
-        self,
-        data: TaggerData,
-        relations: dict[str, int],
-        hidden: int = 24,
-        arc_dim: int = 24,
-        featurizer_config: FeaturizerConfig | None = None,
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        self.tagger = TaggerModel(
-            data, hidden=hidden, featurizer_config=featurizer_config, seed=seed, dtype=dtype
+    def __init__(self, sentences: Sequence[Sentence]):
+        self.tags = sorted({t.upos or "_" for s in sentences for t in s.tokens})
+        self.tagset = {tag: i for i, tag in enumerate(self.tags)}
+        self.inventory = build_lemma_inventory(
+            [(t.form, t.lemma or t.form) for s in sentences for t in s.tokens]
         )
-        self.sentences = data.sentences
-        self.relations = relations
-        self.params = dict(self.tagger.params)
-        rng = np.random.Generator(np.random.PCG64(seed + 300))
-        repr_dim = 2 * hidden
-        self.params["head_proj"] = uniform_param(rng, (repr_dim, arc_dim), repr_dim, dtype)
-        self.params["dep_proj"] = uniform_param(rng, (repr_dim, arc_dim), repr_dim, dtype)
-        self.params["root_vec"] = uniform_param(rng, (1, arc_dim), arc_dim, dtype)
-        self.params.update(
-            init_biaffine_params(arc_dim, len(relations), seed=seed + 400, dtype=dtype)
+
+    def init(self, encoder: SequenceEncoder, seed: int) -> dict[str, Tensor]:
+        rng = _rng(seed + 100)
+        return {
+            **linear_head(encoder, rng, "tag", len(self.tags)),
+            **linear_head(encoder, rng, "lemma", len(self.inventory)),
+        }
+
+    def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
+        """(tag loss, lemma-category loss)."""
+        tag_ids = [self.tagset[t.upos or "_"] for t in sentence.tokens]
+        lemma_ids = [
+            self.inventory.id_of(derive_edit_script(t.form, t.lemma or t.form))
+            for t in sentence.tokens
+        ]
+        return (
+            mlm_loss(_linear(states, params, "tag"), tag_ids),
+            mlm_loss(_linear(states, params, "lemma"), lemma_ids),
         )
+
+    def predict(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence):
+        tag_ids = np.argmax(_linear(states, params, "tag").data, axis=-1)
+        categories = np.argmax(_linear(states, params, "lemma").data, axis=-1)
+        lemmas = []
+        for token, category in zip(sentence.tokens, categories):
+            script = self.inventory.categories[int(category)]
+            try:
+                lemmas.append(apply_edit_script(token.form, script))
+            except EditScriptError:
+                lemmas.append(token.form)
+        return [self.tags[int(i)] for i in tag_ids], lemmas
+
+
+class ParserHead:
+    """Biaffine arc and relation scorer decoded to a tree."""
+
+    def __init__(self, sentences: Sequence[Sentence], arc_dim: int = 24):
+        self.labels = sorted({t.deprel or "_" for s in sentences for t in s.tokens})
+        self.relations = {label: i for i, label in enumerate(self.labels)}
+        self.arc_dim = arc_dim
+
+    def init(self, encoder: SequenceEncoder, seed: int) -> dict[str, Tensor]:
+        rng = _rng(seed + 300)
+        dim, arc_dim, dtype = encoder.output_dim, self.arc_dim, encoder.dtype
+        return {
+            "head_proj": uniform_param(rng, (dim, arc_dim), dim, dtype),
+            "dep_proj": uniform_param(rng, (dim, arc_dim), dim, dtype),
+            "root_vec": uniform_param(rng, (1, arc_dim), arc_dim, dtype),
+            **init_biaffine_params(arc_dim, len(self.labels), seed=seed + 400, dtype=dtype),
+        }
 
     @staticmethod
     def _arc_scores(params: dict[str, Tensor], states: Tensor):
         heads = concat([params["root_vec"], states @ params["head_proj"]], axis=0)
         return biaffine_scores(heads, states @ params["dep_proj"], params)
 
-    def loss(self, sentence: Sentence, contextual=None) -> Tensor:
-        states = self.tagger.encoder.encode(self.params, sentence, contextual)
-        scores = self._arc_scores(self.params, states)
+    def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
+        """(arc loss, relation loss); every token needs a gold head."""
         gold_heads = [token.head for token in sentence.tokens]
-        if any(h is None for h in gold_heads):
-            raise ValueError("parser training requires annotated heads")
-        gold_relations = [
-            self.relations[token.deprel or "_"] for token in sentence.tokens
-        ]
-        n = len(sentence.tokens)
-        arc_loss = mlm_loss(scores.arc.transpose(1, 0), gold_heads)
-        label_rows = scores.label[np.asarray(gold_heads), np.arange(n)]
-        label_loss = mlm_loss(label_rows, gold_relations)
-        tag_loss, lemma_loss = self.tagger.head_losses(self.params, states, sentence)
-        return arc_loss + label_loss + tag_loss + lemma_loss
-
-    def predict(self, sentence: Sentence, contextual=None) -> tuple[list[int], list[str]]:
-        params = constants(self.params)
-        states = self.tagger.encoder.encode(params, sentence, contextual)
+        if None in gold_heads:
+            index = gold_heads.index(None)
+            raise ValueError(
+                f"parser training requires annotated heads: token {index + 1} "
+                f"{sentence.tokens[index].form!r} has no head"
+            )
+        gold_relations = [self.relations[t.deprel or "_"] for t in sentence.tokens]
         scores = self._arc_scores(params, states)
-        heads, label_ids = decode_tree(scores)
-        id_to_relation = {i: r for r, i in self.relations.items()}
-        return heads, [id_to_relation[i] for i in label_ids]
+        arc_loss = mlm_loss(scores.arc.transpose(1, 0), gold_heads)
+        label_rows = scores.label[np.asarray(gold_heads), np.arange(len(gold_heads))]
+        return arc_loss, mlm_loss(label_rows, gold_relations)
+
+    def predict(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence):
+        heads, label_ids = decode_tree(self._arc_scores(params, states))
+        return heads, [self.labels[i] for i in label_ids]
 
 
-class FlatNerModel:
-    """Sequence encoder with a linear-chain CRF over BIO tags."""
+class CrfNerHead:
+    """Linear-chain CRF over BIO tags of flat entities."""
 
-    def __init__(
-        self,
-        sentences: Sequence[Sentence],
-        hidden: int = 24,
-        featurizer_config: FeaturizerConfig | None = None,
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        self.sentences = list(sentences)
-        entity_types = [
-            span[2] for sentence in sentences for span in sentence.entity_spans
-        ]
-        self.labels = bio_label_set(entity_types)
+    def __init__(self, sentences: Sequence[Sentence]):
+        self.labels = bio_label_set([span[2] for s in sentences for span in s.entity_spans])
         self.label_ids = {label: i for i, label in enumerate(self.labels)}
-        transition_penalty, start_penalty = bio_constraint_penalties(self.labels)
-        self.transition_penalty = Tensor(transition_penalty.astype(dtype))
-        self.start_penalty = Tensor(start_penalty.astype(dtype))
 
-        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, dtype)
-        self.params = self.encoder.init_params(seed)
-        rng = np.random.Generator(np.random.PCG64(seed + 500))
+    def init(self, encoder: SequenceEncoder, seed: int) -> dict[str, Tensor]:
+        # BIO constraints as fixed additive penalties, in the model dtype.
+        transition, start = bio_constraint_penalties(self.labels)
+        self.transition_penalty = transition.astype(encoder.dtype)
+        self.start_penalty = start.astype(encoder.dtype)
         count = len(self.labels)
-        self.params.update(self.encoder.linear_head(rng, "emit", count))
-        self.params["crf.transitions"] = zeros_param((count, count), dtype)
-        self.params["crf.start"] = zeros_param((count,), dtype)
+        return {
+            **linear_head(encoder, _rng(seed + 500), "emit", count),
+            "crf.transitions": zeros_param((count, count), encoder.dtype),
+            "crf.start": zeros_param((count,), encoder.dtype),
+        }
 
-    def _emissions(self, params: dict[str, Tensor], sentence: Sentence, contextual) -> Tensor:
-        return _linear(self.encoder.encode(params, sentence, contextual), params, "emit")
-
-    def loss(self, sentence: Sentence, contextual=None) -> Tensor:
+    def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
         tags = spans_to_bio(sentence.entity_spans, len(sentence.tokens))
         validate_bio(tags)
-        tag_ids = [self.label_ids[t] for t in tags]
-        return crf_loss(
-            self._emissions(self.params, sentence, contextual),
-            self.params["crf.transitions"] + self.transition_penalty,
-            tag_ids,
-            self.params["crf.start"] + self.start_penalty,
+        return (
+            crf_loss(
+                _linear(states, params, "emit"),
+                params["crf.transitions"] + self.transition_penalty,
+                [self.label_ids[t] for t in tags],
+                params["crf.start"] + self.start_penalty,
+            ),
         )
 
-    def predict(self, sentence: Sentence, contextual=None):
-        params = constants(self.params)
+    def predict(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence):
         path = crf_decode(
-            self._emissions(params, sentence, contextual).data,
-            params["crf.transitions"].data + self.transition_penalty.data,
-            params["crf.start"].data + self.start_penalty.data,
+            _linear(states, params, "emit").data,
+            params["crf.transitions"].data + self.transition_penalty,
+            params["crf.start"].data + self.start_penalty,
         )
         return bio_to_spans([self.labels[i] for i in path])
 
 
-class NestedNerModel:
-    """Per-token classifier over linearized entity stack strings."""
+class StackNerHead:
+    """Per-token classifier over linearized entity stack strings, for
+    nested entities."""
 
-    def __init__(
-        self,
-        sentences: Sequence[Sentence],
-        hidden: int = 24,
-        featurizer_config: FeaturizerConfig | None = None,
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        self.sentences = list(sentences)
-        stack_strings = ["O"]
+    def __init__(self, sentences: Sequence[Sentence]):
+        self.stack_strings = ["O"]
         for sentence in sentences:
             for stack in encode_nested(sentence.entity_spans, len(sentence.tokens)):
                 rendered = render_stack(stack)
-                if rendered not in stack_strings:
-                    stack_strings.append(rendered)
-        self.stack_vocab = {s: i for i, s in enumerate(stack_strings)}
-        self.stack_strings = stack_strings
+                if rendered not in self.stack_strings:
+                    self.stack_strings.append(rendered)
+        self.stack_vocab = {s: i for i, s in enumerate(self.stack_strings)}
 
-        self.encoder = SequenceEncoder(self.sentences, hidden, featurizer_config, dtype)
-        self.params = self.encoder.init_params(seed)
-        rng = np.random.Generator(np.random.PCG64(seed + 600))
-        self.params.update(self.encoder.linear_head(rng, "stack", len(stack_strings)))
+    def init(self, encoder: SequenceEncoder, seed: int) -> dict[str, Tensor]:
+        return linear_head(encoder, _rng(seed + 600), "stack", len(self.stack_strings))
 
-    def _logits(self, params: dict[str, Tensor], sentence: Sentence, contextual) -> Tensor:
-        return _linear(self.encoder.encode(params, sentence, contextual), params, "stack")
-
-    def loss(self, sentence: Sentence, contextual=None) -> Tensor:
+    def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
         stacks = encode_nested(sentence.entity_spans, len(sentence.tokens))
         targets = [self.stack_vocab[render_stack(s)] for s in stacks]
-        return mlm_loss(self._logits(self.params, sentence, contextual), targets)
+        return (mlm_loss(_linear(states, params, "stack"), targets),)
 
-    def predict(self, sentence: Sentence, contextual=None):
-        logits = self._logits(constants(self.params), sentence, contextual)
-        stacks = [
-            parse_stack(self.stack_strings[int(i)])
-            for i in np.argmax(logits.data, axis=-1)
-        ]
-        return decode_nested(stacks)
+    def predict(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence):
+        logits = _linear(states, params, "stack").data
+        return decode_nested(
+            [parse_stack(self.stack_strings[int(i)]) for i in np.argmax(logits, axis=-1)]
+        )

@@ -74,9 +74,12 @@ class SentimentEncoder:
     vocab: ByteVocab
 
     def copy_params(self) -> dict[str, Tensor]:
+        """Trainable copies of the transformer weights, without the
+        masked-LM head (``mlm.*``), which no fold reads."""
         return {
             name: Tensor(p.data.copy(), requires_grad=True)
             for name, p in self.params.items()
+            if not name.startswith("mlm.")
         }
 
     def item_ids(self, text: str, max_len: int | None = None) -> list[int]:

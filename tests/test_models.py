@@ -9,12 +9,12 @@ from desklm.corpus import Sentence, Token
 from desklm.heads import models
 from desklm.heads.lemma import derive_edit_script
 from desklm.heads.models import (
+    CrfNerHead,
     FeaturizerConfig,
-    FlatNerModel,
-    JointParserModel,
-    NestedNerModel,
-    TaggerData,
-    TaggerModel,
+    ParserHead,
+    StackNerHead,
+    TaggerHead,
+    TaskModel,
 )
 from desklm.neural.tensor import Tensor
 
@@ -24,9 +24,11 @@ def _tagger():
         Sentence(tokens=(Token("nejkrásnější", "krásný", "ADJ"), Token("psi", "pes", "NOUN"))),
         Sentence(tokens=(Token("a", "a", "CCONJ"),)),
     ]
-    data = TaggerData.from_sentences(train)
     config = FeaturizerConfig(word_dim=4, char_dim=3, char_hidden=3)
-    return TaggerModel(data, hidden=4, featurizer_config=config, seed=0, dtype=np.float64)
+    return TaskModel(
+        train, (TaggerHead(train),), hidden=4, featurizer_config=config, seed=0,
+        dtype=np.float64,
+    )
 
 
 class TestTaggerPredict:
@@ -34,11 +36,11 @@ class TestTaggerPredict:
         model = _tagger()
         # Make every token predict the script that strips "nej" and
         # rewrites the tail: it over-consumes the one-letter form "a".
-        category = model.data.inventory.id_of(derive_edit_script("nejkrásnější", "krásný"))
+        category = model.heads[0].inventory.id_of(derive_edit_script("nejkrásnější", "krásný"))
         model.params["lemma.w"].data[:] = 0.0
         model.params["lemma.b"].data[:] = 0.0
         model.params["lemma.b"].data[category] = 1.0
-        _, lemmas = model.predict(Sentence(tokens=(Token("a"), Token("nejmilejší"))))
+        _, lemmas = model.predict(Sentence(tokens=(Token("a"), Token("nejmilejší"))))[0]
         assert lemmas == ["a", "milý"]
 
     def test_unrelated_error_is_not_swallowed(self, monkeypatch):
@@ -118,25 +120,26 @@ def _relations():
     return {r: i for i, r in enumerate(deprels)}
 
 
-def _tagger_model():
-    data = TaggerData.from_sentences(TREEBANK)
-    return TaggerModel(data, hidden=4, featurizer_config=TINY, seed=5, dtype=np.float64)
-
-
-def _parser_model():
-    data = TaggerData.from_sentences(TREEBANK)
-    return JointParserModel(
-        data, _relations(), hidden=4, arc_dim=4, featurizer_config=TINY,
-        seed=5, dtype=np.float64,
+def _model(sentences, *heads, config=TINY):
+    return TaskModel(
+        sentences, heads, hidden=4, featurizer_config=config, seed=5, dtype=np.float64
     )
 
 
+def _tagger_model():
+    return _model(TREEBANK, TaggerHead(TREEBANK))
+
+
+def _parser_model():
+    return _model(TREEBANK, ParserHead(TREEBANK, arc_dim=4), TaggerHead(TREEBANK))
+
+
 def _flat_model():
-    return FlatNerModel(FLAT_NER, hidden=4, featurizer_config=TINY, seed=5, dtype=np.float64)
+    return _model(FLAT_NER, CrfNerHead(FLAT_NER))
 
 
 def _nested_model():
-    return NestedNerModel(NESTED_NER, hidden=4, featurizer_config=TINY, seed=5, dtype=np.float64)
+    return _model(NESTED_NER, StackNerHead(NESTED_NER))
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +215,14 @@ GOLDEN_PARSER_PREDICTIONS = [
     ([3, 3, 0], ['nsubj', 'nsubj', 'root']),
     ([5, 5, 5, 5, 0], ['nsubj', 'nsubj', 'nsubj', 'nsubj', 'root']),
 ]
+# Recorded from the joint parser before the heads shared one TaskModel: its
+# tagger read the same, jointly trained tensors as the parser.
+GOLDEN_JOINT_TAGGER_PREDICTIONS = [
+    (['NOUN', 'VERB', 'VERB'], ['pes', 'štěká', '.']),
+    (['NOUN', 'NOUN', 'NOUN', 'NOUN', 'VERB'], ['jan', 'novák', 'bydlí', 'v', 'praze']),
+    (['NOUN', 'VERB', 'VERB'], ['nejkrásnější', 'psi', 'spí']),
+    (['NOUN', 'NOUN', 'NOUN', 'NOUN', 'VERB'], ['eva', 'nováková', 'spí', 'v', 'brně']),
+]
 GOLDEN_FLAT_LOSSES = [
     5.034338617576444,
     6.109071474388005,
@@ -273,34 +284,41 @@ class TestGoldenTraining:
         model, losses = trained(_tagger_model)
         assert losses == GOLDEN_TAGGER_LOSSES
         assert _digest(model.params) == GOLDEN_TAGGER_DIGEST
-        predictions = [model.predict(s) for s in TREEBANK + [UNSEEN]]
+        predictions = [model.predict(s)[0] for s in TREEBANK + [UNSEEN]]
         assert predictions == GOLDEN_TAGGER_PREDICTIONS
 
     def test_joint_parser(self, trained):
         model, losses = trained(_parser_model)
         assert losses == GOLDEN_PARSER_LOSSES
         assert _digest(model.params) == GOLDEN_PARSER_DIGEST
-        predictions = [model.predict(s) for s in TREEBANK + [UNSEEN]]
+        predictions = [model.predict(s)[0] for s in TREEBANK + [UNSEEN]]
         assert predictions == GOLDEN_PARSER_PREDICTIONS
+
+    def test_joint_parser_tags_and_lemmas(self, trained):
+        model, _ = trained(_parser_model)
+        predictions = [model.predict(s)[1] for s in TREEBANK + [UNSEEN]]
+        assert predictions == GOLDEN_JOINT_TAGGER_PREDICTIONS
+
+    def test_parser_relations_are_the_sorted_deprels(self):
+        assert ParserHead(TREEBANK).relations == _relations()
 
     def test_flat_ner(self, trained):
         model, losses = trained(_flat_model)
         assert losses == GOLDEN_FLAT_LOSSES
         assert _digest(model.params) == GOLDEN_FLAT_DIGEST
-        predictions = [model.predict(s) for s in FLAT_NER + [UNSEEN]]
+        predictions = [model.predict(s)[0] for s in FLAT_NER + [UNSEEN]]
         assert predictions == GOLDEN_FLAT_PREDICTIONS
 
     def test_nested_ner(self, trained):
         model, losses = trained(_nested_model)
         assert losses == GOLDEN_NESTED_LOSSES
         assert _digest(model.params) == GOLDEN_NESTED_DIGEST
-        predictions = [model.predict(s) for s in NESTED_NER + [UNSEEN]]
+        predictions = [model.predict(s)[0] for s in NESTED_NER + [UNSEEN]]
         assert predictions == GOLDEN_NESTED_PREDICTIONS
 
     def test_tagger_loss_with_contextual_features(self):
         config = FeaturizerConfig(word_dim=4, char_dim=3, char_hidden=3, contextual_dim=2)
-        data = TaggerData.from_sentences(TREEBANK)
-        model = TaggerModel(data, hidden=4, featurizer_config=config, seed=5, dtype=np.float64)
+        model = _model(TREEBANK, TaggerHead(TREEBANK), config=config)
         sentence = TREEBANK[1]
         contextual = np.linspace(-1.0, 1.0, 2 * len(sentence)).reshape(len(sentence), 2)
         assert float(model.loss(sentence, contextual).data) == GOLDEN_CONTEXTUAL_LOSS
@@ -330,7 +348,7 @@ class TestPredictBuildsNoGraph:
             tracked += tensor.requires_grad
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        predictions = [model.predict(s) for s in sentences + [UNSEEN]]
+        predictions = [model.predict(s)[0] for s in sentences + [UNSEEN]]
         assert tracked == 0
         assert predictions == golden
 
@@ -348,6 +366,15 @@ class TestTrainLoop:
     def test_train_reproduces_golden_losses(self, trained, make, golden):
         _, losses = trained(make)
         assert losses == golden
+
+
+class TestParserHead:
+    def test_missing_head_names_the_token(self):
+        tokens = list(TREEBANK[1].tokens)
+        tokens[3] = Token("v", "v", "ADP", deprel="case")
+        model = _parser_model()
+        with pytest.raises(ValueError, match=r"token 4 'v' has no head"):
+            model.loss(Sentence(tokens=tuple(tokens)))
 
 
 class TestContextualFeatures:

@@ -87,9 +87,11 @@ GOLDEN_TEST_MEAN = 19.09090909090909
 GOLDEN_TEST_STD = 0.9090909090909101
 # The one-fold digest was recorded with the fused layer norm, softmax and
 # GELU; the reference digest before the fusion, which the reference ops
-# reproduce.
-GOLDEN_FOLD_DIGEST = 'e18d32eed6b170b01a6cc9fdd2fa6a3b2da972ad2465e7b6efa4d620743ce084'
-REFERENCE_FOLD_DIGEST = 'b574211165983d3faa6757689e8346adb11df2c2b9c28fd1058c4d6677309011'
+# reproduce.  Both were re-recorded over the 20 names a fold returns once
+# it stopped copying the masked-LM head: the same tensors, minus the four
+# never-trained ``mlm.*`` ones.
+GOLDEN_FOLD_DIGEST = '86dd528eba6a0cdf9e1346e698ce8d6731f76407cc266f00f5c0c3b2c0e990a4'
+REFERENCE_FOLD_DIGEST = '5982b0f2fcec060838ccdb7eb65dd34fa079904024eb07c7e165a9bcc9970b03'
 
 
 class TestReader:
@@ -126,8 +128,9 @@ class TestGoldenProtocol:
         # warmup + decay < 1 leaves only the frozen first epoch.
         encoder = _encoder()
         params = _train_fold(encoder, warmup_epochs=0.25, decay_epochs=0.25)
-        for name, p in encoder.params.items():
-            assert np.array_equal(params[name].data, p.data), name
+        assert not [name for name in params if name.startswith("mlm.")]
+        for name in params.keys() - {"cls.w", "cls.b"}:
+            assert np.array_equal(params[name].data, encoder.params[name].data), name
         assert np.any(params["cls.w"].data != 0.0)
 
     def test_fused_ops_match_reference_ops(self, monkeypatch):
