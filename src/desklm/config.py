@@ -1,24 +1,31 @@
-"""Experiment configuration: YAML file + environment overrides.
+"""Experiment configuration: one YAML file plus programmatic overrides.
+
+Each section of :class:`ExperimentConfig` is the runtime class it feeds:
+``model`` is a :class:`TransformerConfig` and ``schedule`` a
+:class:`ScheduleConfig`, so every setting is declared once, by that class,
+and checked once, by its constructor.  A section is built by replacing the
+values a file or override sets in the default section, so a file that sets
+one key keeps the defaults of the others.  :func:`load_config` raises one
+:class:`ConfigError` that lists every violation.
 
 Every defaulted hyperparameter carries a provenance marker in the
 emitted resolved-config snapshot: ``recipe`` for values replicated from
 the published training recipe, ``implementation`` for local decisions,
-``user`` for values set explicitly via file or environment.
+``user`` for values set explicitly via file or overrides.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .neural.schedule import KINDS as SCHEDULE_KINDS
-
-ENV_PREFIX = "DESKLM"
+from .bbpe import NUM_SPECIALS
+from .neural.layers import TransformerConfig
+from .neural.schedule import ScheduleConfig
 
 
 class ConfigError(Exception):
@@ -29,29 +36,7 @@ class ConfigError(Exception):
         self.violations = violations
 
 
-@dataclass
-class ModelSettings:
-    layers: int = 2
-    hidden: int = 64
-    heads: int = 4
-    ff_dim: int = 128
-    max_positions: int = 512
-    ln_eps: float = 1e-5
-
-
-@dataclass
-class ScheduleSettings:
-    kind: str = "polynomial_decay"
-    peak_lr: float = 7e-4
-    warmup_steps: int = 10_000
-    total_steps: int = 91_075
-    end_lr: float = 0.0
-    power: float = 1.0
-    warmup_epochs: float = 4.0
-    decay_epochs: float = 10.0
-
-
-@dataclass
+@dataclass(frozen=True)
 class PretrainSettings:
     steps: int = 200
     batch_size: int = 32
@@ -61,12 +46,11 @@ class PretrainSettings:
     adam_eps: float = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeSettings:
     steps: int = 300
     lr: float = 5e-3
     hidden: int = 24
-    use_contextual: bool = True
 
 
 @dataclass
@@ -78,19 +62,18 @@ class ExperimentConfig:
     sentiment_data: str | None = None
     out_dir: str = "runs/out"
     seed: int = 1
-    threads: int = 1
-    vocab_cap: int = 52_000
-    max_len: int = 512
-    model: ModelSettings = field(default_factory=ModelSettings)
-    schedule: ScheduleSettings = field(default_factory=ScheduleSettings)
-    pretrain: PretrainSettings = field(default_factory=PretrainSettings)
-    probe: ProbeSettings = field(default_factory=ProbeSettings)
+    model: TransformerConfig = TransformerConfig(
+        layers=2, hidden=64, heads=4, ff_dim=128, vocab_size=52_000, max_positions=512
+    )
+    schedule: ScheduleConfig = ScheduleConfig("polynomial_decay", 7e-4, 10_000, 91_075)
+    pretrain: PretrainSettings = PretrainSettings()
+    probe: ProbeSettings = ProbeSettings()
 
 
 #: recipe = replicated published value, implementation = local decision.
 PROVENANCE = {
-    "vocab_cap": "recipe",
-    "max_len": "recipe",
+    "model.vocab_size": "recipe",
+    "model.max_positions": "recipe",
     "schedule.kind": "recipe",
     "schedule.peak_lr": "recipe",
     "schedule.warmup_steps": "recipe",
@@ -103,119 +86,79 @@ PROVENANCE = {
 }
 
 
-def _section_dataclasses() -> dict[str, type]:
-    return {
-        "model": ModelSettings,
-        "schedule": ScheduleSettings,
-        "pretrain": PretrainSettings,
-        "probe": ProbeSettings,
-    }
+def _read(path: str | Path | None) -> dict[str, Any]:
+    if path is None:
+        return {}
+    loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    if loaded is None:
+        return {}
+    if not isinstance(loaded, dict):
+        raise ConfigError([f"config root must be a mapping, got {type(loaded).__name__}"])
+    return loaded
 
 
-def _apply_env_overrides(data: dict[str, Any]) -> dict[str, str]:
-    """Mutates ``data`` from DESKLM_* variables; returns the applied keys."""
-    applied: dict[str, str] = {}
-    sections = _section_dataclasses()
-    for name, raw in sorted(os.environ.items()):
-        if not name.startswith(ENV_PREFIX + "_"):
-            continue
-        path = name[len(ENV_PREFIX) + 1 :].lower()
-        value = yaml.safe_load(raw)
-        section, _, rest = path.partition("_")
-        if section in sections and rest in {
-            f.name for f in dataclasses.fields(sections[section])
-        }:
-            data.setdefault(section, {})[rest] = value
-            applied[f"{section}.{rest}"] = raw
-        elif path in {f.name for f in dataclasses.fields(ExperimentConfig)}:
-            data[path] = value
-            applied[path] = raw
-    return applied
+def load_config(
+    path: str | Path | None = None,
+    overrides: dict[str, Any] | None = None,
+    require: tuple[str, ...] = (),
+) -> tuple[ExperimentConfig, set[str]]:
+    """(config, user-set keys) from a YAML file, then ``overrides``.
 
+    An override replaces the file's top-level key; a ``None`` override
+    leaves it as it is.  ``corpus`` and every path named in ``require``
+    must exist.  A section whose constructor rejects it keeps its default,
+    so the checks after it still run."""
+    data = _read(path)
+    data.update({key: value for key, value in (overrides or {}).items() if value is not None})
 
-def _build(data: dict[str, Any]) -> tuple[ExperimentConfig, set[str]]:
     violations: list[str] = []
     user_set: set[str] = set()
-    sections = _section_dataclasses()
     kwargs: dict[str, Any] = {}
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key, value in data.items():
         if key not in known:
             violations.append(f"unknown config key {key!r}")
             continue
-        if key in sections:
-            section_known = {f.name for f in dataclasses.fields(sections[key])}
-            section_kwargs = {}
-            for sub_key, sub_value in (value or {}).items():
-                if sub_key not in section_known:
-                    violations.append(f"unknown config key {key}.{sub_key!r}")
-                    continue
-                section_kwargs[sub_key] = sub_value
-                user_set.add(f"{key}.{sub_key}")
-            kwargs[key] = sections[key](**section_kwargs)
-        else:
+        default = getattr(ExperimentConfig, key)
+        if not dataclasses.is_dataclass(default):
             kwargs[key] = value
             user_set.add(key)
-    if violations:
-        raise ConfigError(violations)
-    return ExperimentConfig(**kwargs), user_set
-
-
-def load_config(
-    path: str | Path | None = None, overrides: dict[str, Any] | None = None
-) -> tuple[ExperimentConfig, set[str]]:
-    """(config, user-set keys) from YAML file + environment + overrides."""
-    data: dict[str, Any] = {}
-    if path is not None:
-        loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError([f"config root must be a mapping, got {type(loaded).__name__}"])
-        data.update(loaded)
-    env_applied = _apply_env_overrides(data)
-    for key, value in (overrides or {}).items():
-        if value is None:
             continue
-        data[key] = value
-    config, user_set = _build(data)
-    user_set.update(env_applied)
-    return config, user_set
+        value = value or {}
+        if not isinstance(value, dict):
+            violations.append(f"{key} must be a mapping, got {type(value).__name__}")
+            continue
+        section_known = {f.name for f in dataclasses.fields(default)}
+        values = {}
+        for sub_key, sub_value in value.items():
+            if sub_key in section_known:
+                values[sub_key] = sub_value
+                user_set.add(f"{key}.{sub_key}")
+            else:
+                violations.append(f"unknown config key {key}.{sub_key!r}")
+        try:
+            kwargs[key] = dataclasses.replace(default, **values)
+        except ValueError as error:
+            violations.append(f"{key}: {error}")
+    config = ExperimentConfig(**kwargs)
 
-
-def validate_config(config: ExperimentConfig, require: tuple[str, ...] = ()) -> None:
-    """Collect every violation (missing files, bad dimensions) at once."""
-    violations = []
     for name in ("corpus",) + require:
         value = getattr(config, name, None)
         if value is None:
             violations.append(f"{name} is required for this command")
         elif not Path(value).exists():
             violations.append(f"{name} path does not exist: {value}")
-    if config.vocab_cap < 261:
-        violations.append(f"vocab_cap must be >= 261, got {config.vocab_cap}")
-    if config.max_len < 8:
-        violations.append(f"max_len must be >= 8, got {config.max_len}")
-    if config.model.hidden % config.model.heads != 0:
-        violations.append(
-            f"model.hidden ({config.model.hidden}) must be divisible by "
-            f"model.heads ({config.model.heads})"
-        )
-    if config.schedule.kind not in SCHEDULE_KINDS:
-        violations.append(
-            f"schedule.kind must be one of {SCHEDULE_KINDS}, got {config.schedule.kind!r}"
-        )
-    if config.schedule.kind == "polynomial_decay" and (
-        config.schedule.warmup_steps > config.schedule.total_steps
-    ):
-        violations.append("schedule.warmup_steps must not exceed schedule.total_steps")
-    if config.threads < 1:
-        violations.append("threads must be >= 1")
-    for name in ("seed", "vocab_cap"):
-        if not isinstance(getattr(config, name), int):
-            violations.append(f"{name} must be an integer")
+    # The byte tokens plus the specials, and the shortest packed sample.
+    for name, least in (("vocab_size", 256 + NUM_SPECIALS), ("max_positions", 8)):
+        if getattr(config.model, name) < least:
+            violations.append(
+                f"model.{name} must be >= {least}, got {getattr(config.model, name)}"
+            )
+    if not isinstance(config.seed, int):
+        violations.append("seed must be an integer")
     if violations:
         raise ConfigError(violations)
+    return config, user_set
 
 
 def resolved_config_document(

@@ -195,6 +195,21 @@ def _linear(states: Tensor, params: dict[str, Tensor], name: str) -> Tensor:
     return states @ params[f"{name}.w"] + params[f"{name}.b"]
 
 
+def _gold_ids(sentence: Sentence, what: str, labels: Sequence, lookup) -> list[int]:
+    """Each token's gold label mapped through ``lookup``; a label it lacks,
+    one no training sentence had, raises a ``ValueError`` naming the token."""
+    ids = []
+    for index, label in enumerate(labels):
+        try:
+            ids.append(lookup(label))
+        except KeyError:
+            raise ValueError(
+                f"token {index + 1} {sentence.tokens[index].form!r} has {what} "
+                f"{str(label)!r}, which the training sentences lack"
+            ) from None
+    return ids
+
+
 class TaskModel:
     """The sequence encoder and one weight map shared by a tuple of heads.
 
@@ -268,11 +283,10 @@ class TaggerHead:
 
     def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
         """(tag loss, lemma-category loss)."""
-        tag_ids = [self.tagset[t.upos or "_"] for t in sentence.tokens]
-        lemma_ids = [
-            self.inventory.id_of(derive_edit_script(t.form, t.lemma or t.form))
-            for t in sentence.tokens
-        ]
+        tags = [t.upos or "_" for t in sentence.tokens]
+        tag_ids = _gold_ids(sentence, "UPOS", tags, self.tagset.__getitem__)
+        scripts = [derive_edit_script(t.form, t.lemma or t.form) for t in sentence.tokens]
+        lemma_ids = _gold_ids(sentence, "lemma script", scripts, self.inventory.id_of)
         return (
             mlm_loss(_linear(states, params, "tag"), tag_ids),
             mlm_loss(_linear(states, params, "lemma"), lemma_ids),
@@ -323,7 +337,10 @@ class ParserHead:
                 f"parser training requires annotated heads: token {index + 1} "
                 f"{sentence.tokens[index].form!r} has no head"
             )
-        gold_relations = [self.relations[t.deprel or "_"] for t in sentence.tokens]
+        gold_relations = _gold_ids(
+            sentence, "relation", [t.deprel or "_" for t in sentence.tokens],
+            self.relations.__getitem__,
+        )
         scores = self._arc_scores(params, states)
         arc_loss = mlm_loss(scores.arc.transpose(1, 0), gold_heads)
         label_rows = scores.label[np.asarray(gold_heads), np.arange(len(gold_heads))]

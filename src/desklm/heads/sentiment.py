@@ -24,7 +24,7 @@ from ..corpus import kfold_split
 from ..metrics.aggregate import aggregate_folds, macro_f1
 from ..neural.layers import TransformerConfig, forward_transformer, mlm_loss
 from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
-from ..neural.schedule import schedule_lr, sentiment_schedule
+from ..neural.schedule import ScheduleConfig, schedule_lr
 from ..neural.tensor import Tensor, constants
 
 LABELS = ("negative", "neutral", "positive")
@@ -180,7 +180,9 @@ def _train_one_fold(
     adam = AdamConfig(lazy=True)
     state = AdamState()
     rng = np.random.Generator(np.random.PCG64(seed))
-    schedule = sentiment_schedule(peak_lr, warmup_epochs, decay_epochs)
+    schedule = ScheduleConfig(
+        "cosine_warmup_decay", peak_lr, warmup_epochs=warmup_epochs, decay_epochs=decay_epochs
+    )
     steps_per_epoch = max(1, math.ceil(len(train_indices) / batch_size))
     total_epochs = int(warmup_epochs + decay_epochs) + 1
 

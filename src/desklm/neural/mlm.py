@@ -21,6 +21,18 @@ from .schedule import ScheduleConfig, schedule_lr
 from .tensor import Tensor, constants
 
 
+def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:
+    """Length of the longest sample; one longer than the model's positions
+    is an error that names it."""
+    for index, sample in enumerate(samples):
+        if len(sample.ids) > model_config.max_positions:
+            raise ValueError(
+                f"sample {index} has {len(sample.ids)} ids, more than the model's "
+                f"max_positions {model_config.max_positions}"
+            )
+    return max(len(s.ids) for s in samples)
+
+
 def train_mlm(
     samples: Sequence[Sample],
     vocab: ByteVocab,
@@ -42,11 +54,11 @@ def train_mlm(
     """
     if not samples:
         raise ValueError("no samples to train on")
+    max_len = _longest(model_config, samples)
     if params is None:
         params = init_transformer_params(model_config, seed=seed, dtype=dtype)
     state = AdamState()
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    max_len = min(model_config.max_positions, max(len(s.ids) for s in samples))
     pad = vocab.special_tokens.pad
 
     losses: list[float] = []
@@ -86,7 +98,7 @@ def eval_masked_accuracy(
     """Fraction of masked positions whose argmax prediction recovers the
     original id, under a fixed masking seed."""
     pad = vocab.special_tokens.pad
-    max_len = min(model_config.max_positions, max(len(s.ids) for s in samples))
+    max_len = _longest(model_config, samples)
     frozen = constants(params)
     correct = total = 0
     for start in range(0, len(samples), batch_size):

@@ -29,19 +29,6 @@ class ScheduleConfig:
             raise ValueError("warmup_steps must not exceed total_steps")
 
 
-def sentiment_schedule(
-    peak_lr: float, warmup_epochs: float = 4.0, decay_epochs: float = 10.0
-) -> ScheduleConfig:
-    """Classifier fine-tuning recipe: cosine warmup from zero, cosine decay
-    back to zero, by epoch fraction."""
-    return ScheduleConfig(
-        kind="cosine_warmup_decay",
-        peak_lr=peak_lr,
-        warmup_epochs=warmup_epochs,
-        decay_epochs=decay_epochs,
-    )
-
-
 def schedule_lr(config: ScheduleConfig, step: float) -> float:
     """Learning rate at ``step`` (for the cosine kind, an epoch fraction)."""
     if step < 0:

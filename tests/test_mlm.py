@@ -133,6 +133,21 @@ def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
     assert {p.grad.dtype for p in params.values()} == {np.dtype(dtype)}
 
 
+@pytest.mark.parametrize("run", ["train", "eval"])
+def test_sample_longer_than_max_positions_rejected_before_any_step(monkeypatch, run):
+    vocab, _, config = _setup()
+    samples = pack_full_sentences(ingest_plaintext(TEXT.encode()), vocab, max_len=64)
+    index = next(i for i, s in enumerate(samples) if len(s.ids) > config.max_positions)
+    monkeypatch.setattr(mlm, "forward_transformer", None)
+    message = rf"sample {index} has {len(samples[index].ids)} ids, .* max_positions 16"
+    with pytest.raises(ValueError, match=message):
+        if run == "train":
+            schedule = ScheduleConfig("polynomial_decay", 1e-2, warmup_steps=2, total_steps=STEPS)
+            train_mlm(samples, vocab, config, schedule, STEPS)
+        else:
+            eval_masked_accuracy(config, {}, samples, vocab)
+
+
 def test_eval_masked_accuracy_builds_no_graph(monkeypatch):
     captured = []
 

@@ -377,6 +377,28 @@ class TestParserHead:
             model.loss(Sentence(tokens=tuple(tokens)))
 
 
+class TestUnseenGoldLabels:
+    """A gold label the training sentences lack names the token."""
+
+    def test_unseen_relation(self):
+        tokens = list(TREEBANK[0].tokens)
+        tokens[2] = _tok(".", ".", "PUNCT", 2, "xcomp")
+        with pytest.raises(ValueError, match=r"token 3 '\.' has relation 'xcomp'"):
+            _parser_model().loss(Sentence(tokens=tuple(tokens)))
+
+    def test_unseen_upos(self):
+        sentence = Sentence(tokens=(Token("Pes", "pes", "NOUN"), Token("rychle", "rychle", "ADV")))
+        with pytest.raises(ValueError, match=r"token 2 'rychle' has UPOS 'ADV'"):
+            _tagger_model().loss(sentence)
+
+    def test_unseen_lemma_script(self):
+        sentence = Sentence(tokens=(Token("psi", "pes", "NOUN"), Token("domů", "dům", "NOUN")))
+        with pytest.raises(
+            ValueError, match=r"token 2 'domů' has lemma script 'case\[\]\|pre\[\]\|suf\[d3,\+ům\]'"
+        ):
+            _tagger_model().loss(sentence)
+
+
 class TestContextualFeatures:
     def _featurize(self, forms, contextual, dtype=np.float64, contextual_dim=2):
         config = FeaturizerConfig(

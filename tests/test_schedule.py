@@ -1,14 +1,12 @@
 """Tests for the learning-rate schedules and their pinned constants."""
 
-import dataclasses
-
 import pytest
 
-from desklm.config import ScheduleSettings
-from desklm.neural.schedule import ScheduleConfig, schedule_lr, sentiment_schedule
+from desklm.config import ExperimentConfig
+from desklm.neural.schedule import ScheduleConfig, schedule_lr
 
-#: The pretraining recipe, built from the config defaults that carry it.
-RECIPE = ScheduleConfig(**dataclasses.asdict(ScheduleSettings()))
+#: The pretraining recipe: the config default that carries it.
+RECIPE = ExperimentConfig().schedule
 
 
 class TestPolynomialDecay:
@@ -54,24 +52,24 @@ class TestPolynomialDecay:
 
 class TestCosineWarmupDecay:
     def test_pinned_epoch_values(self):
-        config = sentiment_schedule(peak_lr=3e-5)
+        config = ScheduleConfig("cosine_warmup_decay", peak_lr=3e-5)
         assert schedule_lr(config, 0.0) == 0.0
         assert schedule_lr(config, 4.0) == pytest.approx(3e-5, rel=1e-12)
         assert schedule_lr(config, 14.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_halfway_points(self):
-        config = sentiment_schedule(peak_lr=1.0)
+        config = ScheduleConfig("cosine_warmup_decay", peak_lr=1.0)
         assert schedule_lr(config, 2.0) == pytest.approx(0.5, rel=1e-12)
         assert schedule_lr(config, 9.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_continuity_at_peak(self):
-        config = sentiment_schedule(peak_lr=2e-5)
+        config = ScheduleConfig("cosine_warmup_decay", peak_lr=2e-5)
         left = schedule_lr(config, 4.0 - 1e-9)
         right = schedule_lr(config, 4.0 + 1e-9)
         assert abs(left - right) < 1e-12
 
     def test_zero_after_decay(self):
-        assert schedule_lr(sentiment_schedule(peak_lr=1.0), 15.0) == 0.0
+        assert schedule_lr(ScheduleConfig("cosine_warmup_decay", peak_lr=1.0), 15.0) == 0.0
 
 
 class TestValidation:
