@@ -377,7 +377,7 @@ class CrfNerHead:
             crf_loss(
                 _linear(states, params, "emit"),
                 params["crf.transitions"] + self.transition_penalty,
-                [self.label_ids[t] for t in tags],
+                _gold_ids(sentence, "BIO tag", tags, self.label_ids.__getitem__),
                 params["crf.start"] + self.start_penalty,
             ),
         )
@@ -409,7 +409,8 @@ class StackNerHead:
 
     def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
         stacks = encode_nested(sentence.entity_spans, len(sentence.tokens))
-        targets = [self.stack_vocab[render_stack(s)] for s in stacks]
+        rendered = [render_stack(s) for s in stacks]
+        targets = _gold_ids(sentence, "entity stack", rendered, self.stack_vocab.__getitem__)
         return (mlm_loss(_linear(states, params, "stack"), targets),)
 
     def predict(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence):

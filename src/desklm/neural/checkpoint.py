@@ -1,71 +1,61 @@
-"""Binary checkpoint container and the per-step training log.
+"""Model checkpoints as numpy ``.npz`` archives.
 
-Layout: magic ``DLMC``, one version byte, a u32-length-prefixed UTF-8
-JSON config block, a u32 record count, then per parameter a u16 name
-length + name, u8 ndim, u32 dims and the float32 little-endian values.
+A checkpoint is an uncompressed zip archive of ``.npy`` entries, the
+layout ``np.savez`` writes and ``np.load`` reads: one entry per parameter,
+named after it and in its own dtype and shape, plus the config as a JSON
+string in the entry ``CONFIG_ENTRY``.  Entries are written in name order
+and zip timestamps are fixed, so saving the same model twice gives the
+same bytes.  A checkpoint is input from outside the program: every
+malformed archive raises a ``ValueError`` that names the problem.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import zipfile
 from typing import IO
 
 import numpy as np
 
 from .tensor import Tensor
 
-CHECKPOINT_MAGIC = b"DLMC"
-CHECKPOINT_VERSION = 1
+CONFIG_ENTRY = "__config__"
 
 
 def save_checkpoint(stream: IO[bytes], config: dict, params: dict[str, Tensor]) -> None:
-    stream.write(CHECKPOINT_MAGIC)
-    stream.write(bytes([CHECKPOINT_VERSION]))
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    stream.write(struct.pack("<I", len(blob)))
-    stream.write(blob)
-    stream.write(struct.pack("<I", len(params)))
-    for name in sorted(params):
-        data = np.ascontiguousarray(params[name].data, dtype="<f4")
-        encoded = name.encode("utf-8")
-        stream.write(struct.pack("<H", len(encoded)))
-        stream.write(encoded)
-        stream.write(struct.pack("<B", data.ndim))
-        stream.write(struct.pack(f"<{data.ndim}I", *data.shape))
-        stream.write(data.tobytes())
+    if CONFIG_ENTRY in params:
+        raise ValueError(f"parameter name {CONFIG_ENTRY!r} is reserved for the config")
+    entries = {CONFIG_ENTRY: np.array(json.dumps(config, sort_keys=True))}
+    entries.update((name, params[name].data) for name in sorted(params))
+    # np.savez(stream, **entries) writes the same archive, but it would take
+    # a parameter named "file" or "allow_pickle" for its own argument.
+    with zipfile.ZipFile(stream, "w") as archive:
+        for name, data in entries.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array(entry, data, allow_pickle=False)
 
 
-def _read_exact(stream: IO[bytes], n: int) -> bytes:
-    raw = stream.read(n)
-    if len(raw) != n:
-        raise ValueError("truncated checkpoint")
-    return raw
+def _read_entry(archive: zipfile.ZipFile, member: str) -> np.ndarray:
+    try:
+        with archive.open(member) as entry:
+            return np.lib.format.read_array(entry, allow_pickle=False)
+    except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as error:
+        raise ValueError(f"checkpoint entry {member!r} cannot be read: {error}") from None
 
 
 def load_checkpoint(stream: IO[bytes]) -> tuple[dict, dict[str, np.ndarray]]:
-    if _read_exact(stream, 4) != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
-    version = _read_exact(stream, 1)[0]
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (config_len,) = struct.unpack("<I", _read_exact(stream, 4))
-    config = json.loads(_read_exact(stream, config_len).decode("utf-8"))
-    (count,) = struct.unpack("<I", _read_exact(stream, 4))
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read_exact(stream, 2))
-        name = _read_exact(stream, name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", _read_exact(stream, 1))
-        shape = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(_read_exact(stream, 4 * size), dtype="<f4").reshape(shape)
-        if name in params:
-            raise ValueError(f"duplicate parameter {name!r} in checkpoint")
-        params[name] = values.copy()
-    return config, params
-
-
-def format_log_line(step: int, lr: float, loss: float) -> str:
-    """One training-log line: ``step<TAB>lr<TAB>loss``."""
-    return f"{step}\t{lr:.12g}\t{loss:.12g}"
+    try:
+        with zipfile.ZipFile(stream) as archive:
+            members = archive.namelist()
+            names = [member.removesuffix(".npy") for member in members]
+            # zipfile keeps both entries of a repeated name and reads the last.
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValueError(f"checkpoint entry {repeated[0]!r} appears more than once")
+            arrays = {name: _read_entry(archive, m) for name, m in zip(names, members)}
+    except zipfile.BadZipFile as error:
+        raise ValueError(f"checkpoint is not a readable zip archive: {error}") from None
+    if CONFIG_ENTRY not in arrays:
+        raise ValueError(f"checkpoint has no {CONFIG_ENTRY!r} entry")
+    config = json.loads(str(arrays.pop(CONFIG_ENTRY)))
+    return config, arrays

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..batching import IGNORE_INDEX, Sample, build_mlm_batch
 from ..bbpe import ByteVocab
-from .checkpoint import format_log_line
 from .layers import (
     TransformerConfig,
     forward_transformer,
@@ -19,6 +18,11 @@ from .layers import (
 from .optim import AdamConfig, AdamState, adam_step, zero_grads
 from .schedule import ScheduleConfig, schedule_lr
 from .tensor import Tensor, constants
+
+
+def format_log_line(step: int, lr: float, loss: float) -> str:
+    """One training-log line: ``step<TAB>lr<TAB>loss``."""
+    return f"{step}\t{lr:.12g}\t{loss:.12g}"
 
 
 def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:

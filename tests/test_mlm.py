@@ -1,5 +1,7 @@
 """Golden, graph-size and dtype tests for the masked-LM training loop."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from desklm.bbpe import train_bbpe
 from desklm.corpus import ingest_plaintext
 from desklm.neural import layers, mlm
 from desklm.neural.layers import TransformerConfig, init_transformer_params
-from desklm.neural.mlm import eval_masked_accuracy, train_mlm
-from desklm.neural.schedule import ScheduleConfig
+from desklm.neural.mlm import eval_masked_accuracy, format_log_line, train_mlm
+from desklm.neural.schedule import ScheduleConfig, schedule_lr
 from desklm.neural.tensor import Tensor
 
 import reference_ops
@@ -56,12 +58,14 @@ def _setup():
     return vocab, samples, config
 
 
-def _run(steps=STEPS, dtype=np.float64, params=None):
+SCHEDULE = ScheduleConfig("polynomial_decay", 1e-2, warmup_steps=2, total_steps=STEPS)
+
+
+def _run(steps=STEPS, dtype=np.float64, params=None, log_stream=None):
     vocab, samples, config = _setup()
-    schedule = ScheduleConfig("polynomial_decay", 1e-2, warmup_steps=2, total_steps=STEPS)
     return train_mlm(
-        samples, vocab, config, schedule, steps, batch_size=3, seed=4, mask_prob=0.3,
-        dtype=dtype, params=params,
+        samples, vocab, config, SCHEDULE, steps, batch_size=3, seed=4, mask_prob=0.3,
+        dtype=dtype, params=params, log_stream=log_stream,
     )
 
 
@@ -69,6 +73,27 @@ def test_train_mlm_golden_losses_and_parameters():
     params, losses = _run()
     assert losses == GOLDEN_LOSSES
     assert _digest(params) == GOLDEN_DIGEST
+
+
+def test_log_stream_gets_one_line_per_step_after_its_adam_update(monkeypatch):
+    # The pretrain benchmark times each step from these writes.
+    events = []
+    adam_step = mlm.adam_step
+    monkeypatch.setattr(
+        mlm, "adam_step", lambda *args, **kwargs: events.append("adam") or adam_step(*args, **kwargs)
+    )
+
+    class Log(io.StringIO):
+        def write(self, text):
+            events.append("log")
+            return super().write(text)
+
+    log = Log()
+    _, losses = _run(log_stream=log)
+    assert events == ["adam", "log"] * STEPS
+    assert log.getvalue().splitlines() == [
+        format_log_line(i, schedule_lr(SCHEDULE, i), losses[i - 1]) for i in range(1, STEPS + 1)
+    ]
 
 
 def test_reference_ops_reproduce_recorded_goldens(monkeypatch):
@@ -142,8 +167,7 @@ def test_sample_longer_than_max_positions_rejected_before_any_step(monkeypatch, 
     message = rf"sample {index} has {len(samples[index].ids)} ids, .* max_positions 16"
     with pytest.raises(ValueError, match=message):
         if run == "train":
-            schedule = ScheduleConfig("polynomial_decay", 1e-2, warmup_steps=2, total_steps=STEPS)
-            train_mlm(samples, vocab, config, schedule, STEPS)
+            train_mlm(samples, vocab, config, SCHEDULE, STEPS)
         else:
             eval_masked_accuracy(config, {}, samples, vocab)
 

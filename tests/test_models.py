@@ -398,6 +398,18 @@ class TestUnseenGoldLabels:
         ):
             _tagger_model().loss(sentence)
 
+    def test_unseen_bio_tag(self):
+        sentence = Sentence(tokens=tuple(Token(f) for f in ("Eva", "jede", "do", "Brna")),
+                            entity_spans=((1, 1, "P"), (4, 4, "X")))
+        with pytest.raises(ValueError, match=r"token 4 'Brna' has BIO tag 'B-X'"):
+            _flat_model().loss(sentence)
+
+    def test_unseen_entity_stack(self):
+        sentence = Sentence(tokens=tuple(Token(f) for f in ("Pes", "štěká", ".")),
+                            entity_spans=((1, 1, "X"),))
+        with pytest.raises(ValueError, match=r"token 1 'Pes' has entity stack 'B-X'"):
+            _nested_model().loss(sentence)
+
 
 class TestContextualFeatures:
     def _featurize(self, forms, contextual, dtype=np.float64, contextual_dim=2):
