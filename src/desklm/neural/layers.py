@@ -5,9 +5,9 @@ All layers are pure functions of (params, inputs); parameters live in flat
 ``dict[str, Tensor]`` maps so the optimizer and checkpoints can treat them
 uniformly.  Weight matrices are initialized uniformly at +-1/sqrt(fan_in).
 
-The transformer runs on three fused ops, each one graph node with a
-hand-written backward pass: ``layer_norm`` here, and ``tensor.softmax``
-and ``Tensor.gelu``.
+The transformer runs on four fused ops, each one graph node with a
+hand-written backward pass: ``layer_norm`` and ``attention`` here, and
+``tensor.softmax`` and ``Tensor.gelu``.
 """
 
 from __future__ import annotations
@@ -124,19 +124,51 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(normed * gain.data + bias.data, parents=(x, gain, bias), backward=backward)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention over (B, heads, S, head_dim) inputs,
+    ``softmax(q k^T / sqrt(head_dim) + bias) v``; one graph node.
+
+    ``bias`` is a plain array added to the scores (-1e9 at padded keys).
+    The backward pass keeps only the attention weights ``y``: with
+    ``ga = g v^T``, the scores get ``gs = y * (ga - sum(ga * y)) * scale``,
+    so ``q`` gets ``gs k``, ``k`` gets ``gs^T q`` and ``v`` gets ``y^T g``.
+    """
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.data.dtype)
+    # The unfused graph's arithmetic in its order, so results match it bit for bit.
+    y = q.data @ k.data.transpose(0, 1, 3, 2)
+    y *= scale
+    if bias is not None:
+        y += bias
+    y -= np.max(y, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(y.swapaxes(-1, -2) @ g)
+        if q.requires_grad or k.requires_grad:
+            ga = g @ v.data.swapaxes(-1, -2)
+            gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True))
+            gs *= scale
+            if q.requires_grad:
+                q._accumulate(gs @ k.data)
+            if k.requires_grad:
+                k._accumulate((q.data.swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2))
+
+    return Tensor(y @ v.data, parents=(q, k, v), backward=backward)
+
+
 def forward_transformer(
     config: TransformerConfig,
     params: dict[str, Tensor],
     input_ids: np.ndarray,
     pad_mask: np.ndarray | None = None,
-    attention_sink: list[Tensor] | None = None,
 ) -> list[Tensor]:
     """Run the pre-norm encoder stack; returns all layer outputs
     (embeddings first, so ``layers + 1`` tensors of shape (B, S, hidden)).
 
     ``pad_mask`` marks real positions with True; padded keys are excluded
-    from attention.  ``attention_sink``, when given, collects per-layer
-    attention tensors of shape (B, heads, S, S).
+    from attention.
     """
     ids = np.asarray(input_ids)
     if ids.ndim == 1:
@@ -153,12 +185,9 @@ def forward_transformer(
     bias = None
     if pad_mask is not None:
         mask = np.asarray(pad_mask, dtype=bool).reshape(batch, seq)
-        bias = Tensor(
-            np.where(mask, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :]
-        )
+        bias = np.where(mask, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :]
 
     nh, dh = config.heads, config.head_dim
-    scale = 1.0 / math.sqrt(dh)
     for i in range(config.layers):
         p = f"layer{i}"
         h = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], config.ln_eps)
@@ -170,13 +199,7 @@ def forward_transformer(
         k = split_heads(h @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"])
         v = split_heads(h @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"])
 
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if bias is not None:
-            scores = scores + bias
-        attn = softmax(scores, axis=-1)
-        if attention_sink is not None:
-            attention_sink.append(attn)
-        context = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, seq, config.hidden)
+        context = attention(q, k, v, bias).transpose(0, 2, 1, 3).reshape(batch, seq, config.hidden)
         x = x + (context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"])
 
         h2 = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], config.ln_eps)

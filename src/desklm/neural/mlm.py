@@ -87,6 +87,8 @@ def train_mlm(
         losses.append(value)
         if log_stream is not None:
             log_stream.write(format_log_line(step + 1, lr, value) + "\n")
+        # Free this step's graph before the next forward pass builds one.
+        del hidden, loss
     return params, losses
 
 

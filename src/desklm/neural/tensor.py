@@ -9,7 +9,8 @@ so a forward pass over :func:`constants` builds no graph.  A call to
 Everything is single-threaded and deterministic.
 
 ``Tensor.gelu`` and ``softmax`` are fused: each is one graph node with a
-hand-written backward pass (``layers.layer_norm`` is the third fused op).
+hand-written backward pass (``layers.layer_norm`` and ``layers.attention``
+are the other two of the four fused ops).
 """
 
 from __future__ import annotations

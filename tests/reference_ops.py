@@ -1,4 +1,5 @@
-"""Unfused reference compositions of ``gelu``, ``layer_norm`` and ``softmax``.
+"""Unfused reference compositions of ``gelu``, ``layer_norm``, ``softmax``
+and ``attention``.
 
 Each builds the same graph, node for node and in the same arithmetic, as
 the transformer's ops did before they were fused, so patching them in
@@ -6,6 +7,8 @@ with ``install`` reproduces the goldens recorded before the fusion
 exactly.  ``_power`` and ``_divide`` are the generic power and division
 nodes these compositions were built from.
 """
+
+import math
 
 import numpy as np
 
@@ -62,8 +65,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _divide(e, e.sum(axis=axis, keepdims=True))
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, bias=None) -> Tensor:
+    """Matmul, scale, bias and ``layers.softmax`` (looked up at call time,
+    so ``install`` reaches the reference softmax), then matmul."""
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    return layers.softmax(scores, axis=-1) @ v
+
+
 def install(monkeypatch) -> None:
-    """Route every caller of the three ops through the reference copies."""
+    """Route every caller of the four ops through the reference copies."""
     monkeypatch.setattr(Tensor, "gelu", gelu)
     monkeypatch.setattr(layers, "layer_norm", layer_norm)
     monkeypatch.setattr(layers, "softmax", softmax)
+    monkeypatch.setattr(layers, "attention", attention)

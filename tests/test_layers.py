@@ -7,6 +7,7 @@ import pytest
 
 from desklm.neural.layers import (
     TransformerConfig,
+    attention,
     birnn_layer,
     forward_transformer,
     init_birnn_params,
@@ -48,22 +49,23 @@ class TestTransformerForward:
         assert all(o.shape == (2, 4, TINY.hidden) for o in outputs)
 
     def test_attention_rows_sum_to_one(self):
-        params = _params64(TINY)
-        ids = np.array([[5, 6, 7, 8, 9]])
-        sink = []
-        forward_transformer(TINY, params, ids, attention_sink=sink)
-        assert len(sink) == TINY.layers
-        for attn in sink:
-            assert np.allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
+        rng = np.random.RandomState(4)
+        q, k = (Tensor(rng.randn(2, 2, 5, 3) * 3) for _ in range(2))
+        bias = np.where(np.arange(5) >= 3, -1e9, 0.0)[None, None, None, :]
+        ones = Tensor(np.ones((2, 2, 5, 3)))
+        for b in (None, bias):
+            assert np.allclose(attention(q, k, ones, b).data, 1.0, rtol=0, atol=1e-12)
 
     def test_padding_mask_blocks_attention(self):
         params = _params64(TINY)
         ids = np.array([[5, 6, 7, 2, 2]])
         mask = np.array([[True, True, True, False, False]])
-        sink = []
-        forward_transformer(TINY, params, ids, pad_mask=mask, attention_sink=sink)
-        for attn in sink:
-            assert np.all(attn.data[0, :, :, 3:] < 1e-6)
+        other = np.array([[5, 6, 7, 9, 4]])
+        outputs = forward_transformer(TINY, params, ids, pad_mask=mask)
+        changed = forward_transformer(TINY, params, other, pad_mask=mask)
+        for out, alt in zip(outputs, changed):
+            assert np.allclose(out.data[:, :3], alt.data[:, :3], rtol=0, atol=1e-12)
+        assert not np.allclose(outputs[-1].data[:, 3:], changed[-1].data[:, 3:])
 
     def test_bounds_errors(self):
         params = _params64(TINY)
@@ -204,6 +206,18 @@ class TestFusedOps:
     def test_gelu(self):
         x = Tensor(np.random.RandomState(3).randn(4, 7) * 2, requires_grad=True)
         self._check(lambda: x.gelu(), lambda: reference_ops.gelu(x), {"x": x})
+
+    def test_attention_with_padded_keys(self):
+        rng = np.random.RandomState(5)
+        q, k, v = (Tensor(rng.randn(2, 2, 5, 3), requires_grad=True) for _ in range(3))
+        # Row 0 pads its last key, row 1 its last two.
+        real = np.array([[True] * 4 + [False], [True] * 3 + [False] * 2])
+        bias = np.where(real, 0.0, -1e9)[:, None, None, :]
+        self._check(
+            lambda: attention(q, k, v, bias),
+            lambda: reference_ops.attention(q, k, v, bias),
+            {"q": q, "k": k, "v": v},
+        )
 
 
 class TestScalarMix:

@@ -1,5 +1,6 @@
 """Golden, graph-size and dtype tests for the masked-LM training loop."""
 
+import gc
 import io
 
 import numpy as np
@@ -38,7 +39,8 @@ GOLDEN_LOSSES = [
     5.467069577890621,
     5.667370576818101,
 ]
-# Recorded with the fused layer norm, softmax and GELU.
+# Recorded with the fused layer norm, softmax and GELU; the fused
+# attention reproduces it.
 GOLDEN_DIGEST = "dd73ca527d2e32a79be1023dd585add73e63b9082527e2cc35e75a662f18cb44"
 # Recorded before the fusion; the reference ops reproduce it.
 REFERENCE_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192d424"
@@ -46,7 +48,7 @@ REFERENCE_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192
 
 # Tensor nodes one train_mlm step builds on this config with the fused ops
 # (the unfused reference ops build 101).
-FUSED_NODES_PER_STEP = 54
+FUSED_NODES_PER_STEP = 47
 
 
 def _setup():
@@ -127,6 +129,21 @@ def test_one_step_builds_at_most_the_fused_node_count(monkeypatch):
     assert len(created) <= FUSED_NODES_PER_STEP
 
 
+def test_each_step_frees_its_graph_before_the_next_forward_pass(monkeypatch):
+    live = []
+    forward = mlm.forward_transformer
+
+    def counting(*args, **kwargs):
+        live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(mlm, "forward_transformer", counting)
+    gc.collect()
+    _run(steps=4)
+    # Only the parameters (and whatever earlier tests keep) are alive.
+    assert live == [live[0]] * 4
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
     outputs, incoming = [], []
@@ -140,7 +157,7 @@ def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
         return wrapper
 
     monkeypatch.setattr(layers, "layer_norm", recording(layers.layer_norm))
-    monkeypatch.setattr(layers, "softmax", recording(layers.softmax))
+    monkeypatch.setattr(layers, "attention", recording(layers.attention))
     monkeypatch.setattr(Tensor, "gelu", recording(Tensor.gelu))
     accumulate = Tensor._accumulate
 
@@ -150,7 +167,7 @@ def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
 
     monkeypatch.setattr(Tensor, "_accumulate", checking)
     params, _ = _run(steps=1, dtype=dtype)
-    # One layer: ln1, softmax, ln2, gelu, then the MLM head's layer norm.
+    # One layer: ln1, attention, ln2, gelu, then the MLM head's layer norm.
     assert len(outputs) == 5
     assert {out.data.dtype for out in outputs} == {np.dtype(dtype)}
     assert {out.grad.dtype for out in outputs} == {np.dtype(dtype)}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from desklm.neural.layers import layer_norm
+from desklm.neural.layers import attention, layer_norm
 from desklm.neural.tensor import Tensor, concat, log_softmax, logsumexp, softmax
 
 from gradcheck import gradient_check
@@ -182,6 +182,7 @@ GRAPH_OPS = {
     "concat": lambda x: concat([x, x]),
     "softmax": lambda x: softmax(x),
     "layer_norm": lambda x: layer_norm(x, x[0], x[1]),
+    "attention": lambda x: attention(*[x.reshape(1, 1, 2, 2)] * 3, bias=np.zeros(2)),
 }
 
 
