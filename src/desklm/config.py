@@ -104,12 +104,17 @@ def load_config(
 ) -> tuple[ExperimentConfig, set[str]]:
     """(config, user-set keys) from a YAML file, then ``overrides``.
 
-    An override replaces the file's top-level key; a ``None`` override
+    An override section is merged into the file's section key by key;
+    any other override replaces the file's key, and a ``None`` override
     leaves it as it is.  ``corpus`` and every path named in ``require``
     must exist.  A section whose constructor rejects it keeps its default,
     so the checks after it still run."""
     data = _read(path)
-    data.update({key: value for key, value in (overrides or {}).items() if value is not None})
+    for key, value in (overrides or {}).items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            data[key] = {**data[key], **value}
+        elif value is not None:
+            data[key] = value
 
     violations: list[str] = []
     user_set: set[str] = set()

@@ -1,21 +1,16 @@
 """Edit-script lemmatization.
 
-A script is a small program mapping an inflected form to its lemma:
-casing restorations plus prefix/suffix edit programs applied to the
-lowercased form.  Scripts derived from different (form, lemma) pairs
-often coincide, so deduplicating them yields a compact classification
-inventory for the lemmatizer head.
+A script maps an inflected form to its lemma: it replaces a prefix and
+a suffix of the lowercased form, then restores casing.  Scripts derived
+from different (form, lemma) pairs often coincide, so deduplicating them
+yields a compact classification inventory for the lemmatizer head.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-#: ("keep", n) copies n source characters, ("delete", n) drops them,
-#: ("insert", text) emits text without consuming anything.
-EditOp = tuple[str, object]
+from typing import Iterable
 
 
 class EditScriptError(Exception):
@@ -26,67 +21,40 @@ class EditScriptError(Exception):
 class EditScript:
     """Form-to-lemma transformation program.
 
-    ``case_ops`` lists output positions to uppercase after the edits;
-    ``prefix_ops`` consume from the front of the lowercased form and
-    ``suffix_ops`` from its tail.
+    The lowercased form loses ``prefix_cut`` characters at the front and
+    ``suffix_cut`` at the tail, which are replaced by ``prefix_add`` and
+    ``suffix_add``; ``case_ops`` then lists the output positions to
+    uppercase.
     """
 
     case_ops: tuple[int, ...]
-    prefix_ops: tuple[EditOp, ...]
-    suffix_ops: tuple[EditOp, ...]
+    prefix_cut: int
+    prefix_add: str
+    suffix_cut: int
+    suffix_add: str
 
     def __str__(self) -> str:
-        def ops(program):
-            return ",".join(
-                f"{kind[0]}{value}" if kind != "insert" else f"+{value}"
-                for kind, value in program
-            )
+        def ops(cut, add):
+            return ",".join(([f"d{cut}"] if cut else []) + ([f"+{add}"] if add else []))
 
         cases = ",".join(map(str, self.case_ops))
-        return f"case[{cases}]|pre[{ops(self.prefix_ops)}]|suf[{ops(self.suffix_ops)}]"
+        prefix = ops(self.prefix_cut, self.prefix_add)
+        return f"case[{cases}]|pre[{prefix}]|suf[{ops(self.suffix_cut, self.suffix_add)}]"
 
 
-IDENTITY_SCRIPT = EditScript((), (), ())
-
-
-def _run_program(source: str, ops: Sequence[EditOp]) -> tuple[str, int]:
-    """Run a program against ``source``; returns (output, consumed)."""
-    out: list[str] = []
-    cursor = 0
-    for kind, value in ops:
-        if kind == "keep":
-            if cursor + value > len(source):
-                raise EditScriptError(f"keep {value} over-consumes {source!r}")
-            out.append(source[cursor : cursor + value])
-            cursor += value
-        elif kind == "delete":
-            if cursor + value > len(source):
-                raise EditScriptError(f"delete {value} over-consumes {source!r}")
-            cursor += value
-        elif kind == "insert":
-            out.append(value)
-        else:
-            raise EditScriptError(f"unknown edit op {kind!r}")
-    return "".join(out), cursor
-
-
-def _consumed(ops: Sequence[EditOp]) -> int:
-    return sum(value for kind, value in ops if kind in ("keep", "delete"))
+IDENTITY_SCRIPT = EditScript((), 0, "", 0, "")
 
 
 def apply_edit_script(form: str, script: EditScript) -> str:
     """Deterministically apply ``script`` to ``form``."""
     lowered = form.lower()
-    suffix_len = _consumed(script.suffix_ops)
-    prefix_out, prefix_used = _run_program(lowered, script.prefix_ops)
-    if prefix_used + suffix_len > len(lowered):
+    end = len(lowered) - script.suffix_cut
+    if script.prefix_cut > end:
         raise EditScriptError(
-            f"script consumes {prefix_used}+{suffix_len} characters "
+            f"script consumes {script.prefix_cut}+{script.suffix_cut} characters "
             f"of {len(lowered)}-character form {form!r}"
         )
-    middle = lowered[prefix_used : len(lowered) - suffix_len]
-    suffix_out, _ = _run_program(lowered[len(lowered) - suffix_len :], script.suffix_ops)
-    result = list(prefix_out + middle + suffix_out)
+    result = list(script.prefix_add + lowered[script.prefix_cut : end] + script.suffix_add)
     for position in script.case_ops:
         if 0 <= position < len(result):
             result[position] = result[position].upper()
@@ -112,22 +80,13 @@ def _longest_common_infix(a: str, b: str) -> tuple[int, int, int]:
     return best
 
 
-def _edit_program(source: str, target: str) -> tuple[EditOp, ...]:
-    ops: list[EditOp] = []
-    if source:
-        ops.append(("delete", len(source)))
-    if target:
-        ops.append(("insert", target))
-    return tuple(ops)
-
-
 def derive_edit_script(form: str, lemma: str) -> EditScript:
     """Derive the canonical script turning ``form`` into ``lemma``.
 
     The longest common infix of the lowercased pair is kept; the changed
-    prefix and suffix become minimal delete+insert programs.  Falls back
-    to a whole-word replacement when the construction cannot reproduce
-    the lemma exactly.
+    prefix and suffix are cut and replaced.  Falls back to a whole-word
+    replacement when the construction cannot reproduce the lemma exactly
+    (casing that does not round-trip through ``lower``/``upper``).
     """
     if not form or not lemma:
         raise ValueError("form and lemma must be non-empty")
@@ -140,24 +99,20 @@ def derive_edit_script(form: str, lemma: str) -> EditScript:
         case_ops=tuple(
             p for p, ch in enumerate(lemma) if p < len(lowered_lemma) and ch != lowered_lemma[p]
         ),
-        prefix_ops=_edit_program(lowered_form[:i], lowered_lemma[:j]),
-        suffix_ops=_edit_program(lowered_form[i + length :], lowered_lemma[j + length :]),
+        prefix_cut=i,
+        prefix_add=lowered_lemma[:j],
+        suffix_cut=len(lowered_form) - i - length,
+        suffix_add=lowered_lemma[j + length :],
     )
-    try:
-        if apply_edit_script(form, script) == lemma:
-            return script
-    except EditScriptError:
-        pass
+    # The cuts never overlap, so applying the script cannot raise.
+    if apply_edit_script(form, script) == lemma:
+        return script
     return _replace_script(lowered_form, lemma)
 
 
 def _replace_script(lowered_form: str, lemma: str) -> EditScript:
     # The inserted text carries the lemma verbatim, so no case ops needed.
-    return EditScript(
-        case_ops=(),
-        prefix_ops=(("delete", len(lowered_form)), ("insert", lemma)),
-        suffix_ops=(),
-    )
+    return EditScript((), len(lowered_form), lemma, 0, "")
 
 
 @dataclass(frozen=True)

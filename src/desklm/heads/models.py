@@ -21,7 +21,9 @@ sentences and has three methods:
 The heads are :class:`TaggerHead` (POS + lemma category),
 :class:`ParserHead` (biaffine), :class:`CrfNerHead` (flat NER) and
 :class:`StackNerHead` (nested NER).  The joint parser is
-``(ParserHead, TaggerHead)``.  :func:`train` is the one training loop.
+``(ParserHead, TaggerHead)``.  :func:`train` fits a model one sentence
+per step through ``neural.mlm.train_step``, the step that the MLM and
+sentiment loops share.
 ``predict`` runs on ``constants(params)`` and so builds no autograd graph.
 """
 
@@ -36,7 +38,8 @@ import numpy as np
 
 from ..corpus import Sentence
 from ..neural.layers import init_birnn_params, birnn_layer, mlm_loss, uniform_param, zeros_param
-from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
+from ..neural.mlm import train_step
+from ..neural.optim import AdamConfig, AdamState
 from ..neural.tensor import Tensor, concat, constants
 from .lemma import (
     EditScriptError,
@@ -256,11 +259,7 @@ def train(
     losses = []
     for _ in range(steps):
         sentence = model.sentences[int(rng.integers(0, len(model.sentences)))]
-        zero_grads(model.params)
-        loss = model.loss(sentence)
-        loss.backward()
-        adam_step(model.params, state, AdamConfig(), lr)
-        losses.append(float(loss.data))
+        losses.append(train_step(model.params, state, AdamConfig(), model.loss(sentence), lr))
     return losses
 
 

@@ -23,7 +23,8 @@ from ..bbpe import ByteVocab, encode
 from ..corpus import kfold_split
 from ..metrics.aggregate import aggregate_folds, macro_f1
 from ..neural.layers import TransformerConfig, forward_transformer, mlm_loss
-from ..neural.optim import AdamConfig, AdamState, adam_step, zero_grads
+from ..neural.mlm import train_step
+from ..neural.optim import AdamConfig, AdamState
 from ..neural.schedule import ScheduleConfig, schedule_lr
 from ..neural.tensor import Tensor, constants
 
@@ -191,18 +192,17 @@ def _train_one_fold(
         for step, start in enumerate(range(0, len(order), batch_size)):
             chunk = order[start : start + batch_size]
             frozen = epoch == 1
-            zero_grads(params)
             embeddings = _document_embeddings(
                 encoder.config, params, encoder.vocab,
                 [id_lists[i] for i in chunk], frozen=frozen,
             )
-            loss = _classifier_loss(embeddings, params, targets[chunk])
-            loss.backward()
             if frozen:
                 lr = classifier_lr
             else:
                 lr = schedule_lr(schedule, (epoch - 2) + (step + 1) / steps_per_epoch)
-            adam_step(params, state, adam, lr)
+            train_step(params, state, adam, _classifier_loss(embeddings, params, targets[chunk]), lr)
+            # Free this step's graph before the next forward pass builds one.
+            del embeddings
     return params
 
 

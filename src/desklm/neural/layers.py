@@ -32,13 +32,10 @@ class TransformerConfig:
     ff_dim: int
     vocab_size: int
     max_positions: int
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
             raise ValueError("hidden must be divisible by heads")
-        if self.ln_eps <= 0:
-            raise ValueError("ln_eps must be positive")
         for name in ("layers", "hidden", "heads", "ff_dim", "vocab_size", "max_positions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -190,7 +187,7 @@ def forward_transformer(
     nh, dh = config.heads, config.head_dim
     for i in range(config.layers):
         p = f"layer{i}"
-        h = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], config.ln_eps)
+        h = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
 
         def split_heads(t: Tensor) -> Tensor:
             return t.reshape(batch, seq, nh, dh).transpose(0, 2, 1, 3)
@@ -202,7 +199,7 @@ def forward_transformer(
         context = attention(q, k, v, bias).transpose(0, 2, 1, 3).reshape(batch, seq, config.hidden)
         x = x + (context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"])
 
-        h2 = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], config.ln_eps)
+        h2 = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ff = (h2 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]).gelu()
         x = x + (ff @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"])
         outputs.append(x)
@@ -210,7 +207,7 @@ def forward_transformer(
 
 
 def mlm_logits(config: TransformerConfig, params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    normed = layer_norm(hidden, params["mlm.ln.gain"], params["mlm.ln.bias"], config.ln_eps)
+    normed = layer_norm(hidden, params["mlm.ln.gain"], params["mlm.ln.bias"])
     return normed @ params["mlm.w"] + params["mlm.b"]
 
 

@@ -1,4 +1,5 @@
-"""Masked-language-model training loop over packed samples."""
+"""Masked-language-model training loop over packed samples, and the one
+training step that it, the task heads and the sentiment folds share."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .layers import (
     mlm_logits,
     mlm_loss,
 )
-from .optim import AdamConfig, AdamState, adam_step, zero_grads
+from .optim import AdamConfig, AdamState, adam_step
 from .schedule import ScheduleConfig, schedule_lr
 from .tensor import Tensor, constants
 
@@ -23,6 +24,19 @@ from .tensor import Tensor, constants
 def format_log_line(step: int, lr: float, loss: float) -> str:
     """One training-log line: ``step<TAB>lr<TAB>loss``."""
     return f"{step}\t{lr:.12g}\t{loss:.12g}"
+
+
+# Here, not in optim.py: every Adam update then goes through mlm.adam_step, which perfbench wraps.
+def train_step(
+    params: dict[str, Tensor], state: AdamState, adam: AdamConfig, loss: Tensor, lr: float
+) -> float:
+    """One optimization step: backpropagate ``loss``, update ``params``
+    with Adam at ``lr``, then clear every gradient; returns the loss value."""
+    loss.backward()
+    adam_step(params, state, config=adam, lr=lr)
+    for p in params.values():
+        p.zero_grad()
+    return float(loss.data)
 
 
 def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:
@@ -75,15 +89,12 @@ def train_mlm(
             mask_prob=mask_prob,
             seed=seed + 7919 * (step + 1),
         )
-        zero_grads(params)
         hidden = forward_transformer(
             model_config, params, batch.input_ids, pad_mask=batch.input_ids != pad
         )
         loss = mlm_loss(mlm_logits(model_config, params, hidden[-1]), batch.target_ids)
-        loss.backward()
         lr = schedule_lr(schedule_config, step + 1)
-        adam_step(params, state, config=adam_config, lr=lr)
-        value = float(loss.data)
+        value = train_step(params, state, adam_config, loss, lr)
         losses.append(value)
         if log_stream is not None:
             log_stream.write(format_log_line(step + 1, lr, value) + "\n")

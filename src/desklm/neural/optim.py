@@ -95,8 +95,3 @@ def adam_step(
         m_hat = m[rows] / (1 - config.beta1**t)
         v_hat = v[rows] / (1 - config.beta2**t)
         param.data[rows] -= (lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(param.data.dtype)
-
-
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.zero_grad()

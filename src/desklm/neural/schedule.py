@@ -1,4 +1,5 @@
-"""Learning-rate schedules: polynomial decay with linear warmup, and
+"""Learning-rate schedules: linear warmup then linear decay to zero
+(fairseq's ``polynomial_decay`` at its defaults, power 1 and end 0), and
 cosine warmup/decay parameterized by epoch fraction."""
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ class ScheduleConfig:
     peak_lr: float
     warmup_steps: int = 0
     total_steps: int = 0
-    end_lr: float = 0.0
-    power: float = 1.0
     warmup_epochs: float = 4.0
     decay_epochs: float = 10.0
 
@@ -37,9 +36,9 @@ def schedule_lr(config: ScheduleConfig, step: float) -> float:
         if config.warmup_steps > 0 and step <= config.warmup_steps:
             return config.peak_lr * step / config.warmup_steps
         if step >= config.total_steps:
-            return config.end_lr
+            return 0.0
         remaining = (config.total_steps - step) / (config.total_steps - config.warmup_steps)
-        return (config.peak_lr - config.end_lr) * remaining**config.power + config.end_lr
+        return config.peak_lr * remaining
 
     # cosine_warmup_decay, by epoch fraction
     epoch = step

@@ -58,6 +58,16 @@ class TestSections:
         assert config.schedule.kind == "polynomial_decay"
         assert config.schedule.total_steps == 91_075
 
+    def test_an_override_section_merges_into_the_file_section(self, tmp_path, corpus):
+        config, user_set = _load(
+            tmp_path, "schedule:\n  peak_lr: 0.001\n",
+            overrides={"corpus": corpus, "schedule": {"warmup_steps": 5}},
+        )
+        assert config.schedule.peak_lr == 0.001
+        assert config.schedule.warmup_steps == 5
+        assert config.schedule.total_steps == 91_075
+        assert sorted(user_set) == ["corpus", "schedule.peak_lr", "schedule.warmup_steps"]
+
     def test_a_section_that_is_not_a_mapping_is_a_violation(self, tmp_path, corpus):
         with pytest.raises(ConfigError) as error:
             _load(tmp_path, f"corpus: {corpus}\nmodel: 64\n")

@@ -73,16 +73,16 @@ class TestDeriveApply:
         assert apply_edit_script("slovo", IDENTITY_SCRIPT) == "slovo"
 
     def test_over_consumption_raises(self):
-        script = EditScript(case_ops=(), prefix_ops=(("delete", 10),), suffix_ops=())
-        with pytest.raises(EditScriptError):
-            apply_edit_script("abc", script)
+        for prefix_cut, suffix_cut in [(10, 0), (0, 4), (2, 2)]:
+            script = EditScript((), prefix_cut, "", suffix_cut, "")
+            with pytest.raises(EditScriptError, match="of 3-character form 'abc'"):
+                apply_edit_script("abc", script)
+        assert apply_edit_script("abc", EditScript((), 2, "x", 1, "y")) == "xy"
 
-    def test_keep_instruction_supported(self):
-        script = EditScript(
-            case_ops=(), prefix_ops=(("keep", 2), ("delete", 1), ("insert", "x")),
-            suffix_ops=(),
-        )
-        assert apply_edit_script("abcde", script) == "abxde"
+    def test_str_lists_cuts_and_additions(self):
+        assert str(derive_edit_script("Prahou", "Praha")) == "case[0]|pre[]|suf[d2,+a]"
+        assert str(derive_edit_script("xyz", "ABC")) == "case[]|pre[d3,+ABC]|suf[]"
+        assert str(IDENTITY_SCRIPT) == "case[]|pre[]|suf[]"
 
     def test_empty_arguments_rejected(self):
         with pytest.raises(ValueError):

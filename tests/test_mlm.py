@@ -1,7 +1,10 @@
-"""Golden, graph-size and dtype tests for the masked-LM training loop."""
+"""Golden, graph-size and dtype tests for the masked-LM training loop and
+the training step that every loop shares."""
 
+import ast
 import gc
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from desklm.bbpe import train_bbpe
 from desklm.corpus import ingest_plaintext
 from desklm.neural import layers, mlm
 from desklm.neural.layers import TransformerConfig, init_transformer_params
-from desklm.neural.mlm import eval_masked_accuracy, format_log_line, train_mlm
+from desklm.neural.mlm import eval_masked_accuracy, format_log_line, train_mlm, train_step
+from desklm.neural.optim import AdamConfig, AdamState
 from desklm.neural.schedule import ScheduleConfig, schedule_lr
 from desklm.neural.tensor import Tensor
 
@@ -144,6 +148,50 @@ def test_each_step_frees_its_graph_before_the_next_forward_pass(monkeypatch):
     assert live == [live[0]] * 4
 
 
+def test_train_step_holds_the_only_backward_and_adam_step_calls():
+    # One way to train: the MLM, head and sentiment loops all call
+    # train_step, so no loop can drift from the others' step order.
+    calls = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path, self.scope = path, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "adam_step":
+                calls.append(("adam_step", self.path, self.scope[-1]))
+            if isinstance(func, ast.Attribute) and func.attr == "backward":
+                calls.append(("backward", self.path, self.scope[-1]))
+            self.generic_visit(node)
+
+    src = Path(mlm.__file__).resolve().parents[1]
+    for path in sorted(src.rglob("*.py")):
+        Calls(path.relative_to(src).as_posix()).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(calls) == [
+        ("adam_step", "neural/mlm.py", "train_step"),
+        ("backward", "neural/mlm.py", "train_step"),
+    ]
+
+
+def test_train_step_updates_then_clears_every_gradient():
+    params = {
+        "w": Tensor(np.array([1.0, 2.0]), requires_grad=True),
+        "unused": Tensor(np.array([3.0]), requires_grad=True),
+    }
+    loss = (params["w"] * params["w"]).sum()
+    value = train_step(params, AdamState(), AdamConfig(), loss, 0.1)
+    assert value == 5.0
+    assert params["w"].data.tolist() == pytest.approx([0.9, 1.9])
+    assert params["unused"].data.tolist() == [3.0]
+    assert all(p.grad is None for p in params.values())
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
     outputs, incoming = [], []
@@ -166,13 +214,24 @@ def test_one_step_keeps_the_parameter_dtype(monkeypatch, dtype):
         accumulate(self, grad)
 
     monkeypatch.setattr(Tensor, "_accumulate", checking)
+    # The step clears the gradients after the update, so read them where
+    # Adam consumes them.
+    consumed = []
+    adam_step = mlm.adam_step
+
+    def consuming(params, *args, **kwargs):
+        consumed.extend(p.grad.dtype for p in params.values())
+        return adam_step(params, *args, **kwargs)
+
+    monkeypatch.setattr(mlm, "adam_step", consuming)
     params, _ = _run(steps=1, dtype=dtype)
     # One layer: ln1, attention, ln2, gelu, then the MLM head's layer norm.
     assert len(outputs) == 5
     assert {out.data.dtype for out in outputs} == {np.dtype(dtype)}
     assert {out.grad.dtype for out in outputs} == {np.dtype(dtype)}
     assert set(incoming) == {np.dtype(dtype)}
-    assert {p.grad.dtype for p in params.values()} == {np.dtype(dtype)}
+    assert len(consumed) == len(params)
+    assert set(consumed) == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("run", ["train", "eval"])

@@ -1,5 +1,6 @@
 """Tests for the UDPipe-style task models."""
 
+import gc
 import hashlib
 
 import numpy as np
@@ -366,6 +367,21 @@ class TestTrainLoop:
     def test_train_reproduces_golden_losses(self, trained, make, golden):
         _, losses = trained(make)
         assert losses == golden
+
+    def test_each_step_frees_its_graph_before_the_next_loss(self, monkeypatch):
+        model = _tagger_model()
+        live = []
+        loss = model.loss
+
+        def counting(sentence):
+            live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+            return loss(sentence)
+
+        monkeypatch.setattr(model, "loss", counting)
+        gc.collect()
+        models.train(model, steps=5, lr=5e-2, seed=3)
+        # Only the parameters (and whatever earlier tests keep) are alive.
+        assert live == [live[0]] * 5
 
 
 class TestParserHead:

@@ -24,18 +24,10 @@ class TestPolynomialDecay:
 
     def test_clamps_to_end_value_beyond_total(self):
         config = ScheduleConfig(
-            kind="polynomial_decay", peak_lr=1e-3, warmup_steps=10,
-            total_steps=100, end_lr=1e-5,
+            kind="polynomial_decay", peak_lr=1e-3, warmup_steps=10, total_steps=100,
         )
-        assert schedule_lr(config, 100) == 1e-5
-        assert schedule_lr(config, 10_000) == 1e-5
-
-    def test_power_two_decay(self):
-        config = ScheduleConfig(
-            kind="polynomial_decay", peak_lr=1.0, warmup_steps=0,
-            total_steps=100, power=2.0,
-        )
-        assert schedule_lr(config, 50) == pytest.approx(0.25, rel=1e-12)
+        assert schedule_lr(config, 100) == 0.0
+        assert schedule_lr(config, 10_000) == 0.0
 
     def test_continuity_at_warmup_boundary(self):
         config = RECIPE

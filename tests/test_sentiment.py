@@ -1,5 +1,6 @@
 """Tests for the sentiment reader and the k-fold fine-tuning protocol."""
 
+import gc
 import hashlib
 
 import numpy as np
@@ -169,3 +170,19 @@ def test_frozen_encoder_and_predict_build_no_graph(monkeypatch):
     )
     assert trained.requires_grad
     assert np.array_equal(trained.data, frozen.data)
+
+
+def test_each_fold_step_frees_its_graph_before_the_next_forward_pass(monkeypatch):
+    live = []
+    embed = sentiment._document_embeddings
+
+    def counting(*args, **kwargs):
+        live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(sentiment, "_document_embeddings", counting)
+    encoder = _encoder()
+    gc.collect()
+    _train_fold(encoder)
+    # Three batches in each of two epochs, the first with a frozen encoder.
+    assert live == [live[0]] * 6
