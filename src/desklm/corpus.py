@@ -4,7 +4,9 @@ Documents are ordered lists of sentences; sentences are ordered lists of
 tokens carrying optional morphology, dependency and entity annotation.
 Supported inputs: whitespace-tokenized plain text (blank-line separated
 documents) and CoNLL-U (``# newdoc`` starts documents).  All values are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads: one
+``ingest_conllu`` call parses each distinct FEATS column once, and every
+token carrying that bundle shares the one parsed tuple.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class ConlluParseError(CorpusError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """Single syntactic word.
 
@@ -54,12 +56,25 @@ class Token:
             raise CorpusError("token form must be non-empty")
         if self.head is not None and self.head < 0:
             raise CorpusError(f"head must be >= 0, got {self.head}")
-        if self.ufeats is not None:
-            names = [name for name, _ in self.ufeats]
+        ufeats = self.ufeats
+        if ufeats and not _names_increase(ufeats):
+            names = [name for name, _ in ufeats]
             if len(set(names)) != len(names):
-                raise CorpusError(f"duplicate feature names in {self.ufeats}")
-            if list(self.ufeats) != sorted(self.ufeats):
+                raise CorpusError(f"duplicate feature names in {ufeats}")
+            if list(ufeats) != sorted(ufeats):
                 raise CorpusError("ufeats must be sorted lexicographically")
+
+
+def _names_increase(ufeats: tuple[tuple[str, str], ...]) -> bool:
+    """True when each feature name is greater than the one before it: one
+    pass that holds exactly when the names are unique and the pairs are
+    sorted, so the two checks that name the fault run only when it fails."""
+    previous = ufeats[0][0]
+    for name, _ in ufeats[1:]:
+        if not previous < name:
+            return False
+        previous = name
+    return True
 
 
 #: (start, end, label) with 1-based inclusive token indices.
@@ -203,12 +218,20 @@ def _parse_feats(raw: str, line_number: int) -> tuple[tuple[str, str], ...] | No
     return tuple(sorted(pairs))
 
 
+def _id_number(text: str) -> int | None:
+    """The value of one part of a CoNLL-U id: ASCII digits, else None."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
     """Parse CoNLL-U into a Corpus.
 
     Multiword-token ranges and empty nodes are recorded verbatim in
     ``Sentence.extra_rows`` (excluded from head indexing); comments are
-    preserved verbatim.  ``# newdoc`` starts a new document.
+    preserved verbatim.  ``# newdoc`` starts a new document.  A range must
+    be ``int-int``, start at the next word and end neither before its
+    start nor past the sentence's last word; an empty node must be
+    ``int.int`` with the number of words before it as its integer part.
     """
     text = _decode_utf8(_read_bytes(stream))
     lines = text.split("\n")
@@ -220,10 +243,14 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
     doc_id: str | None = None
     pending_doc_id: str | None = None
     saw_any = False
+    # Raw FEATS column to its parsed tuple, shared by every token carrying it.
+    bundles: dict[str, tuple[tuple[str, str], ...] | None] = {}
 
     comments: list[str] = []
     words: list[Token] = []
     extra_rows: list[tuple[int, tuple[str, ...]]] = []
+    # (id, last word, line number) of each multiword range in the sentence.
+    range_ends: list[tuple[str, int, int]] = []
     new_doc_requested = False
 
     def flush_document():
@@ -236,11 +263,19 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
         doc_id = None
 
     def flush_sentence(line_number: int):
-        nonlocal comments, words, extra_rows, new_doc_requested, doc_id, pending_doc_id
+        nonlocal comments, words, extra_rows, range_ends
+        nonlocal new_doc_requested, doc_id, pending_doc_id
         if not words and not comments and not extra_rows:
             return
         if not words:
             raise ConlluParseError(line_number, "sentence contains no word lines")
+        for token_id, end, range_line in range_ends:
+            if end > len(words):
+                raise ConlluParseError(
+                    range_line,
+                    f"multiword token range {token_id!r} ends past the sentence's "
+                    f"last word {len(words)}",
+                )
         if new_doc_requested:
             flush_document()
             doc_id = pending_doc_id
@@ -255,7 +290,7 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
         except CorpusError as exc:
             raise ConlluParseError(line_number, str(exc)) from exc
         doc_sentences.append(sentence)
-        comments, words, extra_rows = [], [], []
+        comments, words, extra_rows, range_ends = [], [], [], []
 
     for idx, line in enumerate(lines, start=1):
         if line == "":
@@ -277,16 +312,36 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
             raise ConlluParseError(
                 idx, f"expected {_CONLLU_COLUMNS} tab-separated columns, got {len(columns)}"
             )
-        token_id = columns[0]
-        if "-" in token_id or "." in token_id:
-            # Multiword-token range or empty node: passthrough only.
+        token_id, form, lemma, upos, xpos, feats, head_raw, deprel, deps, misc = columns
+        if "-" in token_id:
+            first, _, last = token_id.partition("-")
+            start, end = _id_number(first), _id_number(last)
+            if start is None or end is None:
+                raise ConlluParseError(idx, f"malformed multiword token range {token_id!r}")
+            if start != len(words) + 1:
+                raise ConlluParseError(
+                    idx,
+                    f"multiword token range {token_id!r} must start at word {len(words) + 1}",
+                )
+            if end < start:
+                raise ConlluParseError(
+                    idx, f"multiword token range {token_id!r} ends before it starts"
+                )
+            range_ends.append((token_id, end, idx))
             extra_rows.append((len(words), tuple(columns)))
             continue
-        if not token_id.isdigit() or int(token_id) != len(words) + 1:
+        if "." in token_id:
+            whole, _, part = token_id.partition(".")
+            if _id_number(whole) != len(words) or _id_number(part) is None:
+                raise ConlluParseError(
+                    idx, f"malformed empty node id {token_id!r}, expected {len(words)}.N"
+                )
+            extra_rows.append((len(words), tuple(columns)))
+            continue
+        if _id_number(token_id) != len(words) + 1:
             raise ConlluParseError(
                 idx, f"unexpected token id {token_id!r}, expected {len(words) + 1}"
             )
-        head_raw = columns[6]
         if head_raw == "_":
             head = None
         else:
@@ -297,17 +352,21 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
             if head < 0:
                 raise ConlluParseError(idx, f"negative HEAD {head}")
         try:
+            ufeats = bundles[feats]
+        except KeyError:
+            ufeats = bundles[feats] = _parse_feats(feats, idx)
+        try:
             words.append(
                 Token(
-                    form=columns[1],
-                    lemma=None if columns[2] == "_" else columns[2],
-                    upos=None if columns[3] == "_" else columns[3],
-                    xpos=None if columns[4] == "_" else columns[4],
-                    ufeats=_parse_feats(columns[5], idx),
-                    head=head,
-                    deprel=None if columns[7] == "_" else columns[7],
-                    deps=None if columns[8] == "_" else columns[8],
-                    misc=None if columns[9] == "_" else columns[9],
+                    form,
+                    None if lemma == "_" else lemma,
+                    None if upos == "_" else upos,
+                    None if xpos == "_" else xpos,
+                    ufeats,
+                    head,
+                    None if deprel == "_" else deprel,
+                    None if deps == "_" else deps,
+                    None if misc == "_" else misc,
                 )
             )
         except CorpusError as exc:

@@ -110,6 +110,8 @@ def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
     """Characters of the raw text plus one _Word per syntactic word."""
     characters: list[str] = []
     words: list[_Word] = []
+    # Filtered FEATS per distinct bundle: ingest shares one tuple per bundle.
+    filtered: dict[tuple[tuple[str, str], ...] | None, str] = {}
     for sentence in corpus.sentences():
         n = len(sentence.tokens)
         forms = [_strip_spaces(token.form) for token in sentence.tokens]
@@ -132,13 +134,16 @@ def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
                 spans_by_word[i] = span
             w = last + 1
 
+        for token in sentence.tokens:
+            if token.ufeats not in filtered:
+                filtered[token.ufeats] = _filter_feats(token.ufeats)
         sentence_words = [
             _Word(
                 form=forms[i],
                 lemma=token.lemma or "_",
                 upos=token.upos or "_",
                 xpos=token.xpos or "_",
-                feats=_filter_feats(token.ufeats),
+                feats=filtered[token.ufeats],
                 deprel=(token.deprel or "_").split(":")[0],
                 span=spans_by_word[i],
                 is_multiword=i in mwt_cover,

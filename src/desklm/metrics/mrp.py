@@ -322,7 +322,9 @@ class _Problem:
     ``groups`` holds ``(src, tgt, weight, cap)`` for each group of gold
     edges sharing a ``(src, tgt, label)`` key: its endpoints' positions,
     its count of gold edges and attributes, and the largest of its terms,
-    the most it can match in this system graph.
+    the most it can match in this system graph.  ``gold_items`` is the gold
+    graph's item count, which no mapping's score exceeds, and ``graphs``
+    names the pair.
     """
 
     gold_ids: list[int]
@@ -331,6 +333,8 @@ class _Problem:
     own: list[list[int]]
     links: list[dict[int, list[list[int]]]]
     groups: list[tuple[int, int, int, int]]
+    gold_items: int
+    graphs: str
 
     @classmethod
     def build(
@@ -390,7 +394,9 @@ class _Problem:
                     own[i][x] += term
             weight = count + sum(c for _, _, c in attributes)
             groups.append((i, k, weight, cap))
-        return cls(gold_ids, system_ids, pair, own, links, groups)
+        graphs = f"gold graph {gold_graph.id!r} and system graph {system_graph.id!r}"
+        return cls(gold_ids, system_ids, pair, own, links, groups,
+                   sum(gold.totals().values()), graphs)
 
     def mapping(self, image: list[int]) -> dict[int, int]:
         """Gold id to system id for each mapped position in ``image``."""
@@ -561,6 +567,14 @@ def _hill_climb(problem: _Problem, restarts: int, seed: int) -> dict[int, int]:
             i, y, gain = move
             assignment.move(i, y)
             score += gain
+            # Each accepted move gains at least one item, so a score past the
+            # most any mapping matches means a gain overstates, and the climb
+            # would never end.
+            if score > problem.gold_items:
+                raise RuntimeError(
+                    f"hill-climber on {problem.graphs} reached {score} matched items, "
+                    f"more than the gold graph's {problem.gold_items}: a move gain overstates"
+                )
         if score > best_score:
             best_image, best_score = assignment.image, score
     return problem.mapping(best_image)

@@ -2,11 +2,12 @@
 
 import sys
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desklm.corpus import ingest_conllu
+from desklm.corpus import Corpus, Document, ingest_conllu
 from desklm.metrics.conllu_eval import ConlluEvalError, _strip_spaces, eval_conllu
 
 
@@ -161,9 +162,14 @@ class TestMultiwordAlignment:
         assert report.upos.system_total == 1
 
     def test_range_ending_before_its_start_is_rejected(self):
-        text = MWT_GOLD.replace("1-2\tdoma", "2-1\tdoma")
+        # Ingest rejects such a range, so the sentence is built directly to
+        # reach the evaluator's own check.
+        sentence = next(_corpus(MWT_GOLD).sentences())
+        reversed_range = ("2-1",) + sentence.extra_rows[0][1][1:]
+        sentence = replace(sentence, extra_rows=((0, reversed_range),))
+        gold = Corpus((Document("d", (sentence,)),))
         with pytest.raises(ConlluEvalError, match="2-1"):
-            eval_conllu(_corpus(text), _corpus(MWT_SYSTEM_PLAIN))
+            eval_conllu(gold, _corpus(MWT_SYSTEM_PLAIN))
 
     def test_mwt_gold_vs_gold(self):
         gold = _corpus(MWT_GOLD)

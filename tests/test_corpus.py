@@ -1,5 +1,7 @@
 """Tests for corpus ingestion and fold splitting."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from desklm.corpus import (
     ConlluParseError,
     Corpus,
     CorpusError,
+    Document,
     Sentence,
     Token,
     ingest_conllu,
@@ -30,6 +33,34 @@ CONLLU_SAMPLE = """\
 1\tAhoj\tahoj\tINTJ\tII\t_\t0\troot\t_\t_
 
 """
+
+
+def _row(index: int, form: str, feats: str, head: int) -> str:
+    return f"{index}\t{form}\t_\t_\t_\t{feats}\t{head}\tdep\t_\t_\n"
+
+
+#: A few bundles shared by many tokens, so the parser's bundle table is hit.
+_FEATS_POOL = (
+    None,
+    (("Case", "Nom"),),
+    (("Case", "Acc"), ("Number", "Sing")),
+    (("Gender", "Fem"), ("Number", "Plur"), ("Poss", "Yes")),
+)
+_WORD = st.text(alphabet="abcčž", min_size=1, max_size=4)
+_TOKENS = st.builds(
+    Token,
+    form=_WORD,
+    lemma=st.none() | _WORD,
+    upos=st.sampled_from([None, "NOUN", "VERB"]),
+    ufeats=st.sampled_from(_FEATS_POOL),
+    deprel=st.sampled_from([None, "dep", "nsubj:pass"]),
+    misc=st.sampled_from([None, "SpaceAfter=No"]),
+)
+
+
+def _with_heads(tokens: list[Token]) -> list[Token]:
+    """The tokens, each headed by the one before it (the first by the root)."""
+    return [replace(t, head=i) for i, t in enumerate(tokens)]
 
 
 class TestIngestPlaintext:
@@ -104,6 +135,100 @@ class TestIngestConllu:
     def test_serialize_reproduces_input_bytes(self):
         assert serialize_conllu(ingest_conllu(CONLLU_SAMPLE.encode("utf-8"))) == CONLLU_SAMPLE
 
+    def test_feature_error_carries_one_line_prefix(self):
+        data = "".join(_row(i, f"t{i}", "A=1", 0 if i == 1 else 1) for i in range(1, 5))
+        data += _row(5, "t5", "B=1|B=2", 1) + "\n"
+        with pytest.raises(ConlluParseError) as caught:
+            ingest_conllu(data.encode("utf-8"))
+        assert str(caught.value) == "line 5: duplicate feature names in 'B=1|B=2'"
+        assert caught.value.line_number == 5
+
+    def test_token_error_carries_one_line_prefix(self):
+        data = "1\t\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+        with pytest.raises(ConlluParseError) as caught:
+            ingest_conllu(data.encode("utf-8"))
+        assert str(caught.value) == "line 1: token form must be non-empty"
+
+    def test_repeated_bundles_share_one_tuple(self):
+        data = (
+            _row(1, "a", "Number=Sing|Case=Nom", 0)
+            + _row(2, "b", "Number=Sing|Case=Nom", 1)
+            + "\n"
+            + _row(1, "c", "Number=Sing|Case=Nom", 0)
+            + "\n"
+        )
+        tokens = [t for s in ingest_conllu(data.encode("utf-8")).sentences() for t in s.tokens]
+        assert tokens[0].ufeats == (("Case", "Nom"), ("Number", "Sing"))
+        assert all(t.ufeats is tokens[0].ufeats for t in tokens)
+
+    def test_malformed_bundle_after_valid_ones_names_its_line(self):
+        data = (
+            _row(1, "a", "Case=Nom", 0)
+            + _row(2, "b", "Case=Nom", 1)
+            + "\n"
+            + _row(1, "c", "Case=Nom", 0)
+            + _row(2, "d", "Case", 1)
+            + "\n"
+        )
+        with pytest.raises(ConlluParseError, match="^line 5: malformed feature 'Case'$"):
+            ingest_conllu(data.encode("utf-8"))
+
+    @given(st.lists(st.lists(st.lists(_TOKENS, min_size=1, max_size=6), min_size=1,
+                             max_size=3), min_size=1, max_size=3))
+    @settings(max_examples=60)
+    def test_round_trip_over_shared_bundles(self, documents):
+        corpus = Corpus(tuple(
+            Document(f"d{k}", tuple(
+                Sentence(tuple(_with_heads(tokens)),
+                         comments=(f"# newdoc id = d{k}",) if j == 0 else ())
+                for j, tokens in enumerate(sentences)
+            ))
+            for k, sentences in enumerate(documents)
+        ))
+        assert ingest_conllu(serialize_conllu(corpus).encode("utf-8")) == corpus
+
+
+class TestConlluExtraRows:
+    """Multiword-token ranges and empty nodes are checked at ingest."""
+
+    WORDS = [_row(1, "do", "_", 2), _row(2, "ma", "_", 0)]
+
+    @staticmethod
+    def _extra(token_id: str) -> str:
+        return f"{token_id}\tx" + "\t_" * 8 + "\n"
+
+    def test_valid_range_and_empty_node_accepted(self):
+        rows = [self._extra("1-2"), *self.WORDS, self._extra("2.1")]
+        sentence = next(ingest_conllu(("".join(rows) + "\n").encode("utf-8")).sentences())
+        assert [(pos, columns[0]) for pos, columns in sentence.extra_rows] == [
+            (0, "1-2"), (2, "2.1")
+        ]
+
+    # (id, the row's position among the two word rows, the error raised)
+    MALFORMED = [
+        ("1-x", 0, "line 1: malformed multiword token range '1-x'"),
+        ("-2", 0, "line 1: malformed multiword token range '-2'"),
+        ("1-2-3", 0, "line 1: malformed multiword token range '1-2-3'"),
+        ("2-3", 0, "line 1: multiword token range '2-3' must start at word 1"),
+        ("1-2", 1, "line 2: multiword token range '1-2' must start at word 2"),
+        ("2-1", 1, "line 2: multiword token range '2-1' ends before it starts"),
+        # Checked when the sentence ends: the range's own line is named.
+        ("3-4", 2, "line 3: multiword token range '3-4' ends past the sentence's last word 2"),
+        ("2-3", 1, "line 2: multiword token range '2-3' ends past the sentence's last word 2"),
+        ("1.1", 0, "line 1: malformed empty node id '1.1', expected 0.N"),
+        ("1.x", 1, "line 2: malformed empty node id '1.x', expected 1.N"),
+        ("0.1", 1, "line 2: malformed empty node id '0.1', expected 1.N"),
+    ]
+
+    @pytest.mark.parametrize("token_id, before, message", MALFORMED,
+                             ids=[f"{token_id}@{before}" for token_id, before, _ in MALFORMED])
+    def test_malformed_id_rejected(self, token_id, before, message):
+        rows = list(self.WORDS)
+        rows.insert(before, self._extra(token_id))
+        with pytest.raises(ConlluParseError) as caught:
+            ingest_conllu(("".join(rows) + "\n").encode("utf-8"))
+        assert str(caught.value) == message
+
 
 class TestTokenInvariants:
     def test_empty_form_rejected(self):
@@ -111,8 +236,28 @@ class TestTokenInvariants:
             Token(form="")
 
     def test_unsorted_feats_rejected(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match="^ufeats must be sorted lexicographically$"):
             Token(form="x", ufeats=(("B", "1"), ("A", "2")))
+
+    @pytest.mark.parametrize("ufeats", [
+        (("A", "1"), ("A", "2")),
+        (("A", "2"), ("A", "1")),
+        (("A", "1"), ("B", "1"), ("A", "1")),
+    ])
+    def test_duplicate_feature_names_rejected(self, ufeats):
+        with pytest.raises(CorpusError, match="^duplicate feature names in "):
+            Token(form="x", ufeats=ufeats)
+
+    @pytest.mark.parametrize("ufeats", [None, (), (("A", "1"),), (("A", "2"), ("B", "1"))])
+    def test_valid_feats_accepted(self, ufeats):
+        assert Token(form="x", ufeats=ufeats).ufeats == ufeats
+
+    def test_token_is_frozen_and_slotted(self):
+        token = Token("x", head=0)
+        with pytest.raises(AttributeError):
+            token.head = 1
+        assert not hasattr(token, "__dict__")
+        assert token == Token("x", head=0) and hash(token) == hash(Token("x", head=0))
 
     def test_crossing_spans_rejected(self):
         tokens = tuple(Token(form=f"t{i}") for i in range(4))

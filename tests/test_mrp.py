@@ -270,6 +270,20 @@ class TestMcesAlign:
         index = _FacetIndex.build(gold)
         assert alignment.matched_items == sum(index.totals().values())
 
+    def test_overstated_gain_raises_instead_of_spinning(self, monkeypatch):
+        # Staying put reported as a gain of one item is accepted again and
+        # again: the climb must stop once its score passes the gold graph's
+        # item count.
+        gains = _Assignment.gains
+        monkeypatch.setattr(_Assignment, "gains", lambda self, i: [
+            gain + (y == self.image[i]) for y, gain in enumerate(gains(self, i))
+        ])
+        rng = random.Random(11)
+        gold = _dense_graph(rng, "g", NODE_LIMIT + 1)
+        system = _dense_graph(rng, "s", NODE_LIMIT + 1)
+        with pytest.raises(RuntimeError, match="gold graph 'g' and system graph 's'"):
+            mces_align(gold, system)
+
     def test_hill_climbing_deterministic(self):
         rng = random.Random(13)
         gold = _random_graph(rng, "g")
