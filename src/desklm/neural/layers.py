@@ -176,7 +176,7 @@ def forward_transformer(
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("input id out of vocabulary range")
 
-    x = params["tok_emb"][ids] + params["pos_emb"][np.arange(seq)]
+    x = params["tok_emb"][ids] + params["pos_emb"][:seq]
     outputs = [x]
 
     bias = None

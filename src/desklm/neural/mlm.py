@@ -51,6 +51,16 @@ def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:
     return max(len(s.ids) for s in samples)
 
 
+def _masked_logits(
+    config: TransformerConfig,
+    params: dict[str, Tensor],
+    hidden: list[Tensor],
+    target_ids: np.ndarray,
+) -> tuple[Tensor, np.ndarray]:
+    """MLM-head logits of the last layer's rows with their targets."""
+    return mlm_logits(config, params, hidden[-1]), target_ids
+
+
 def train_mlm(
     samples: Sequence[Sample],
     vocab: ByteVocab,
@@ -92,7 +102,7 @@ def train_mlm(
         hidden = forward_transformer(
             model_config, params, batch.input_ids, pad_mask=batch.input_ids != pad
         )
-        loss = mlm_loss(mlm_logits(model_config, params, hidden[-1]), batch.target_ids)
+        loss = mlm_loss(*_masked_logits(model_config, params, hidden, batch.target_ids))
         lr = schedule_lr(schedule_config, step + 1)
         value = train_step(params, state, adam_config, loss, lr)
         losses.append(value)
@@ -124,9 +134,9 @@ def eval_masked_accuracy(
         hidden = forward_transformer(
             model_config, frozen, batch.input_ids, pad_mask=batch.input_ids != pad
         )
-        logits = mlm_logits(model_config, frozen, hidden[-1])
+        logits, targets = _masked_logits(model_config, frozen, hidden, batch.target_ids)
         predictions = np.argmax(logits.data, axis=-1)
-        targeted = batch.target_ids != IGNORE_INDEX
-        correct += int((predictions[targeted] == batch.target_ids[targeted]).sum())
+        targeted = targets != IGNORE_INDEX
+        correct += int((predictions[targeted] == targets[targeted]).sum())
         total += int(targeted.sum())
     return correct / total if total else 0.0

@@ -1,18 +1,20 @@
 """Unfused reference compositions of ``gelu``, ``layer_norm``, ``softmax``
-and ``attention``.
+and ``attention``, and the full-row masked-LM head.
 
 Each builds the same graph, node for node and in the same arithmetic, as
 the transformer's ops did before they were fused, so patching them in
 with ``install`` reproduces the goldens recorded before the fusion
 exactly.  ``_power`` and ``_divide`` are the generic power and division
-nodes these compositions were built from.
+nodes these compositions were built from.  ``full_row_logits`` stands in
+for ``mlm._masked_logits``: it scores every row and leaves the selection
+of the targeted ones to ``mlm_loss``.
 """
 
 import math
 
 import numpy as np
 
-from desklm.neural import layers
+from desklm.neural import layers, mlm
 from desklm.neural.tensor import Tensor, _unbroadcast
 
 
@@ -72,6 +74,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias=None) -> Tensor:
     if bias is not None:
         scores = scores + Tensor(bias)
     return layers.softmax(scores, axis=-1) @ v
+
+
+def full_row_logits(config, params, hidden, target_ids):
+    """MLM-head logits of every last-layer row, with every target."""
+    return layers.mlm_logits(config, params, hidden[-1]), target_ids
+
+
+def install_full_row_head(monkeypatch) -> None:
+    """Route the masked-LM loop and evaluation through ``full_row_logits``."""
+    monkeypatch.setattr(mlm, "_masked_logits", full_row_logits)
 
 
 def install(monkeypatch) -> None:

@@ -104,9 +104,19 @@ def test_log_stream_gets_one_line_per_step_after_its_adam_update(monkeypatch):
 
 def test_reference_ops_reproduce_recorded_goldens(monkeypatch):
     reference_ops.install(monkeypatch)
+    reference_ops.install_full_row_head(monkeypatch)
     params, losses = _run()
     assert losses == GOLDEN_LOSSES
     assert _digest(params) == REFERENCE_DIGEST
+
+
+def test_reference_attention_and_full_row_head_reproduce_recorded_goldens(monkeypatch):
+    # The unfused attention runs on the fused softmax here.
+    monkeypatch.setattr(layers, "attention", reference_ops.attention)
+    reference_ops.install_full_row_head(monkeypatch)
+    params, losses = _run()
+    assert losses == GOLDEN_LOSSES
+    assert _digest(params) == GOLDEN_DIGEST
 
 
 def test_fused_ops_match_reference_ops(monkeypatch):

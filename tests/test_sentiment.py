@@ -15,6 +15,7 @@ from desklm.heads.sentiment import (
     read_sentiment_tsv,
     run_sentiment_protocol,
 )
+from desklm.neural import layers
 from desklm.neural.layers import TransformerConfig, init_transformer_params
 from desklm.neural.tensor import Tensor
 
@@ -124,6 +125,11 @@ class TestGoldenProtocol:
     def test_reference_ops_reproduce_recorded_fold(self, monkeypatch):
         reference_ops.install(monkeypatch)
         assert _fold_digest(_train_fold()) == REFERENCE_FOLD_DIGEST
+
+    def test_reference_attention_reproduces_recorded_fold(self, monkeypatch):
+        # The unfused attention runs on the fused softmax here.
+        monkeypatch.setattr(layers, "attention", reference_ops.attention)
+        assert _fold_digest(_train_fold()) == GOLDEN_FOLD_DIGEST
 
     def test_frozen_epoch_trains_only_the_classifier(self):
         # warmup + decay < 1 leaves only the frozen first epoch.
