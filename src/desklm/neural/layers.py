@@ -126,9 +126,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     ``softmax(q k^T / sqrt(head_dim) + bias) v``; one graph node.
 
     ``bias`` is a plain array added to the scores (-1e9 at padded keys).
-    The backward pass keeps only the attention weights ``y``: with
-    ``ga = g v^T``, the scores get ``gs = y * (ga - sum(ga * y)) * scale``,
-    so ``q`` gets ``gs k``, ``k`` gets ``gs^T q`` and ``v`` gets ``y^T g``.
+    The backward pass keeps the attention weights ``y`` and the output
+    ``o = y v``: the row sum ``sum(ga * y)`` with ``ga = g v^T`` equals
+    ``sum(g * o)`` (FlashAttention's backward, arXiv:2205.14135), so the
+    scores get ``gs = y * (ga - sum(g * o)) * scale`` with no second
+    (S, S) product, ``q`` gets ``gs k``, ``k`` gets ``gs^T q`` and ``v``
+    gets ``y^T g``.
     """
     scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.data.dtype)
     # The unfused graph's arithmetic in its order, so results match it bit for bit.
@@ -140,19 +143,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
+    # The node's own value, so keeping it for the backward pass costs nothing.
+    out = y @ v.data
+
     def backward(g):
         if v.requires_grad:
             v._accumulate(y.swapaxes(-1, -2) @ g)
         if q.requires_grad or k.requires_grad:
-            ga = g @ v.data.swapaxes(-1, -2)
-            gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True))
+            # gs is built in ga's buffer.
+            gs = g @ v.data.swapaxes(-1, -2)
+            gs -= (g * out).sum(axis=-1, keepdims=True)
+            gs *= y
             gs *= scale
             if q.requires_grad:
                 q._accumulate(gs @ k.data)
             if k.requires_grad:
-                k._accumulate((q.data.swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2))
+                k._accumulate(gs.swapaxes(-1, -2) @ q.data)
 
-    return Tensor(y @ v.data, parents=(q, k, v), backward=backward)
+    return Tensor(out, parents=(q, k, v), backward=backward)
 
 
 def forward_transformer(
@@ -221,7 +229,8 @@ def mlm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     keep = np.nonzero(flat_targets != IGNORE_INDEX)[0]
     if keep.size == 0:
         return logits.sum() * 0.0
-    selected = flat_logits[keep]
+    # With nothing ignored the selection is the identity: skip its node.
+    selected = flat_logits if keep.size == flat_targets.size else flat_logits[keep]
     log_probs = log_softmax(selected, axis=-1)
     chosen = log_probs[np.arange(keep.size), flat_targets[keep]]
     return -chosen.mean()

@@ -1,5 +1,9 @@
 """Masked-language-model training loop over packed samples, and the one
-training step that it, the task heads and the sentiment folds share."""
+training step that it, the task heads and the sentiment folds share.
+
+The MLM head scores only the masked rows: the output layer never sees the
+~85% of positions whose target is ignored (as in RoBERTa's reference
+implementation)."""
 
 from __future__ import annotations
 
@@ -57,8 +61,10 @@ def _masked_logits(
     hidden: list[Tensor],
     target_ids: np.ndarray,
 ) -> tuple[Tensor, np.ndarray]:
-    """MLM-head logits of the last layer's rows with their targets."""
-    return mlm_logits(config, params, hidden[-1]), target_ids
+    """MLM-head logits of the last layer's targeted rows only, with their
+    targets: (n, vocab) logits and n ids, none of them ignored."""
+    targeted = np.nonzero(target_ids != IGNORE_INDEX)
+    return mlm_logits(config, params, hidden[-1][targeted]), target_ids[targeted]
 
 
 def train_mlm(
@@ -135,8 +141,6 @@ def eval_masked_accuracy(
             model_config, frozen, batch.input_ids, pad_mask=batch.input_ids != pad
         )
         logits, targets = _masked_logits(model_config, frozen, hidden, batch.target_ids)
-        predictions = np.argmax(logits.data, axis=-1)
-        targeted = targets != IGNORE_INDEX
-        correct += int((predictions[targeted] == targets[targeted]).sum())
-        total += int(targeted.sum())
+        correct += int((np.argmax(logits.data, axis=-1) == targets).sum())
+        total += targets.size
     return correct / total if total else 0.0

@@ -125,6 +125,30 @@ class TestMlmLoss:
         loss = mlm_loss(Tensor(logits), targets)
         assert float(loss.data) == pytest.approx(expected, abs=1e-10)
 
+    def test_nothing_ignored_selects_no_rows_and_matches_a_selection(self, monkeypatch):
+        rng = np.random.RandomState(3)
+        logits = Tensor(rng.randn(5, 7), requires_grad=True)
+        targets = rng.randint(0, 7, size=5)
+        keys = []
+        getitem = Tensor.__getitem__
+
+        def recording(self, key):
+            keys.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(Tensor, "__getitem__", recording)
+        loss = mlm_loss(logits, targets)
+        loss.backward()
+        # Only the pick of each row's target: no row selection.
+        assert len(keys) == 1 and np.array_equal(keys[0][1], targets)
+        # An ignored extra row forces the selection; the loss and the
+        # gradient of the kept rows come out in the same bits.
+        padded = Tensor(np.vstack([logits.data, rng.randn(1, 7)]), requires_grad=True)
+        selected = mlm_loss(padded, np.append(targets, -100))
+        selected.backward()
+        assert selected.data.tobytes() == loss.data.tobytes()
+        assert padded.grad[:5].tobytes() == logits.grad.tobytes()
+
     def test_no_targets_is_zero_with_zero_gradient(self):
         logits = Tensor(np.random.RandomState(1).randn(1, 3, 5), requires_grad=True)
         loss = mlm_loss(logits, np.full((1, 3), -100))

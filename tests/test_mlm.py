@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from desklm.batching import pack_full_sentences
+from desklm.batching import IGNORE_INDEX, pack_full_sentences
 from desklm.bbpe import train_bbpe
 from desklm.corpus import ingest_plaintext
 from desklm.neural import layers, mlm
@@ -17,9 +17,10 @@ from desklm.neural.layers import TransformerConfig, init_transformer_params
 from desklm.neural.mlm import eval_masked_accuracy, format_log_line, train_mlm, train_step
 from desklm.neural.optim import AdamConfig, AdamState
 from desklm.neural.schedule import ScheduleConfig, schedule_lr
-from desklm.neural.tensor import Tensor
+from desklm.neural.tensor import Tensor, constants
 
 import reference_ops
+from gradcheck import gradient_check
 from test_models import _digest
 
 TEXT = (
@@ -33,9 +34,10 @@ TEXT = (
 )
 STEPS = 6
 
-# Recorded before the masking policy and the ignore index became constants.
-# The fused ops and the unfused reference ops both give these losses.
-GOLDEN_LOSSES = [
+# Recorded before the masking policy and the ignore index became constants,
+# with a head that scored every row.  The unfused reference ops give these
+# losses with the full-row head.
+FULL_ROW_LOSSES = [
     5.706518517378015,
     5.605511612280282,
     5.556315368356852,
@@ -43,11 +45,25 @@ GOLDEN_LOSSES = [
     5.467069577890621,
     5.667370576818101,
 ]
-# Recorded with the fused layer norm, softmax and GELU; the fused
-# attention reproduces it.
-GOLDEN_DIGEST = "dd73ca527d2e32a79be1023dd585add73e63b9082527e2cc35e75a662f18cb44"
-# Recorded before the fusion; the reference ops reproduce it.
+# Recorded with the fused layer norm, softmax and GELU, the full-row head
+# and an attention backward that took its row sum from the weights; the
+# unfused attention on the fused softmax, with the full-row head,
+# reproduces it.
+FULL_ROW_DIGEST = "dd73ca527d2e32a79be1023dd585add73e63b9082527e2cc35e75a662f18cb44"
+# Recorded before the fusion; the reference ops with the full-row head
+# reproduce it.
 REFERENCE_DIGEST = "c76354dad114a3508876a518556624eec0c7b13411c5aa62e95908dce192d424"
+# Recorded once the head scored only the masked rows and the attention
+# backward took its row sum from its output: the last loss moved by 1.8e-15.
+GOLDEN_LOSSES = [
+    5.706518517378015,
+    5.605511612280282,
+    5.556315368356852,
+    5.617503498938529,
+    5.467069577890621,
+    5.667370576818099,
+]
+GOLDEN_DIGEST = "18449bf0bcc67cf2d0b9d0cf8974137e85b8414765395be21a5d2a0bb5d1e4a5"
 
 
 # Tensor nodes one train_mlm step builds on this config with the fused ops
@@ -106,7 +122,7 @@ def test_reference_ops_reproduce_recorded_goldens(monkeypatch):
     reference_ops.install(monkeypatch)
     reference_ops.install_full_row_head(monkeypatch)
     params, losses = _run()
-    assert losses == GOLDEN_LOSSES
+    assert losses == FULL_ROW_LOSSES
     assert _digest(params) == REFERENCE_DIGEST
 
 
@@ -115,13 +131,14 @@ def test_reference_attention_and_full_row_head_reproduce_recorded_goldens(monkey
     monkeypatch.setattr(layers, "attention", reference_ops.attention)
     reference_ops.install_full_row_head(monkeypatch)
     params, losses = _run()
-    assert losses == GOLDEN_LOSSES
-    assert _digest(params) == GOLDEN_DIGEST
+    assert losses == FULL_ROW_LOSSES
+    assert _digest(params) == FULL_ROW_DIGEST
 
 
 def test_fused_ops_match_reference_ops(monkeypatch):
     params, losses = _run()
     reference_ops.install(monkeypatch)
+    reference_ops.install_full_row_head(monkeypatch)
     reference_params, reference_losses = _run()
     assert np.max(np.abs(np.subtract(losses, reference_losses))) <= 1e-9
     for name, p in params.items():
@@ -273,3 +290,59 @@ def test_eval_masked_accuracy_builds_no_graph(monkeypatch):
     assert captured
     assert not any(t.requires_grad for t in captured)
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_masked_row_loss_gradient_check():
+    _, _, config = _setup()
+    params = init_transformer_params(config, seed=3, dtype=np.float64)
+    # Row 1 pads its last position.
+    ids = np.array([[1, 5, 7, 9, 4], [2, 4, 6, 8, 0]])
+    ignored = IGNORE_INDEX
+    targets = np.array([[5, ignored, 9, ignored, 2], [ignored, 6, 1, ignored, ignored]])
+
+    def loss_fn():
+        hidden = layers.forward_transformer(config, params, ids, pad_mask=ids != 0)
+        return layers.mlm_loss(*mlm._masked_logits(config, params, hidden, targets))
+
+    checked = {name: params[name] for name in ("tok_emb", "mlm.w", "layer0.attn.wk")}
+    report = gradient_check(loss_fn, checked, tolerance=1e-6)
+    assert report.passed, report.failing()
+
+
+def test_eval_masked_accuracy_predicts_what_the_full_rows_predict(monkeypatch):
+    vocab, samples, config = _setup()
+    params, _ = _run()
+    calls = []
+    masked_logits = mlm._masked_logits
+
+    def recording(*args):
+        logits, targets = masked_logits(*args)
+        calls.append((args[2][-1], args[3], logits.data, targets))
+        return logits, targets
+
+    monkeypatch.setattr(mlm, "_masked_logits", recording)
+    accuracy = eval_masked_accuracy(
+        config, params, samples, vocab, seed=1, mask_prob=0.3, batch_size=2
+    )
+    assert len(calls) > 1
+    correct = total = 0
+    for last, target_ids, logits, targets in calls:
+        targeted = target_ids != IGNORE_INDEX
+        full = layers.mlm_logits(config, constants(params), last).data
+        assert np.array_equal(targets, target_ids[targeted])
+        assert np.array_equal(np.argmax(logits, axis=-1), np.argmax(full[targeted], axis=-1))
+        correct += int((np.argmax(full[targeted], axis=-1) == targets).sum())
+        total += targets.size
+    assert accuracy == correct / total
+
+
+def test_nothing_masked_gives_zero_losses_and_leaves_parameters_unchanged():
+    vocab, samples, config = _setup()
+    params = init_transformer_params(config, seed=4, dtype=np.float64)
+    before = {name: p.data.copy() for name, p in params.items()}
+    _, losses = train_mlm(
+        samples, vocab, config, SCHEDULE, 3, batch_size=3, seed=4, mask_prob=0.0, params=params
+    )
+    assert losses == [0.0] * 3
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name]), name
