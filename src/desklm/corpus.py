@@ -298,7 +298,7 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
             continue
         saw_any = True
         if line.startswith("#"):
-            if words:
+            if words or extra_rows:
                 raise ConlluParseError(idx, "comment after word lines")
             comments.append(line)
             if line.startswith("# newdoc"):

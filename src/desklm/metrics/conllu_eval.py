@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..corpus import Corpus, Sentence
+from ..corpus import Corpus, Sentence, _id_number
 from .counts import PrfCounts
 
 CONTENT_DEPRELS = {
@@ -96,10 +96,9 @@ def _multiword_ranges(sentence: Sentence) -> list[tuple[int, int, str]]:
         if "-" not in token_id:
             continue
         start_str, _, end_str = token_id.partition("-")
-        try:
-            start, end = int(start_str), int(end_str)
-        except ValueError:
-            continue
+        start, end = _id_number(start_str), _id_number(end_str)
+        if start is None or end is None:
+            raise ConlluEvalError(f"malformed multiword token range {token_id!r}")
         if end < start:
             raise ConlluEvalError(f"multiword token range {token_id} ends before it starts")
         ranges.append((start - 1, end - 1, columns[1]))

@@ -171,6 +171,15 @@ class TestMultiwordAlignment:
         with pytest.raises(ConlluEvalError, match="2-1"):
             eval_conllu(gold, _corpus(MWT_SYSTEM_PLAIN))
 
+    def test_malformed_range_is_rejected(self):
+        # Skipping the row would score the sentence as if it had none.
+        sentence = next(_corpus(MWT_GOLD).sentences())
+        malformed = ("1-x",) + sentence.extra_rows[0][1][1:]
+        sentence = replace(sentence, extra_rows=((0, malformed),))
+        gold = Corpus((Document("d", (sentence,)),))
+        with pytest.raises(ConlluEvalError, match="malformed multiword token range '1-x'"):
+            eval_conllu(gold, _corpus(MWT_SYSTEM_PLAIN))
+
     def test_mwt_gold_vs_gold(self):
         gold = _corpus(MWT_GOLD)
         assert all(

@@ -229,6 +229,16 @@ class TestConlluExtraRows:
             ingest_conllu(("".join(rows) + "\n").encode("utf-8"))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("token_id", ["1-2", "0.1"])
+    def test_comment_after_an_extra_row_names_its_line(self, token_id):
+        # Serializing would move the comment above the row.
+        text = "".join([self._extra(token_id), "# c\n", *self.WORDS]) + "\n"
+        with pytest.raises(ConlluParseError) as caught:
+            ingest_conllu(text.encode("utf-8"))
+        assert str(caught.value) == "line 2: comment after word lines"
+        accepted = "".join(["# c\n", self._extra(token_id), *self.WORDS]) + "\n"
+        assert serialize_conllu(ingest_conllu(accepted.encode("utf-8"))) == accepted
+
 
 class TestTokenInvariants:
     def test_empty_form_rejected(self):
