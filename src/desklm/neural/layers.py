@@ -150,7 +150,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
         if v.requires_grad:
             v._accumulate(y.swapaxes(-1, -2) @ g)
         if q.requires_grad or k.requires_grad:
-            # gs is built in ga's buffer.
+            # gs is built in place in the g v^T product.
             gs = g @ v.data.swapaxes(-1, -2)
             gs -= (g * out).sum(axis=-1, keepdims=True)
             gs *= y

@@ -82,7 +82,8 @@ def full_row_logits(config, params, hidden, target_ids):
 
 
 def install_full_row_head(monkeypatch) -> None:
-    """Route the masked-LM loop and evaluation through ``full_row_logits``."""
+    """Route ``train_mlm`` through ``full_row_logits``.  Not for
+    ``eval_masked_accuracy``, which counts every row the head returns."""
     monkeypatch.setattr(mlm, "_masked_logits", full_row_logits)
 
 
