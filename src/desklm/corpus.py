@@ -87,7 +87,9 @@ class Sentence:
 
     ``comments`` keeps CoNLL-U comment lines verbatim; ``extra_rows``
     keeps multiword-token ranges and empty-node lines as raw column
-    tuples, positioned by the number of word lines preceding them.
+    tuples, positioned by the number of word lines preceding them.  Each
+    extra row's id is checked at construction (see :func:`_extra_row_fault`),
+    so every path that builds a sentence gets the same CoNLL-U id rules.
     """
 
     tokens: tuple[Token, ...]
@@ -107,6 +109,10 @@ class Sentence:
             for b in self.entity_spans:
                 if a is not b and spans_cross(a, b):
                     raise CorpusError(f"entity spans {a} and {b} cross")
+        for before, columns in self.extra_rows:
+            fault = _extra_row_fault(columns[0], before, n)
+            if fault is not None:
+                raise CorpusError(fault)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -118,6 +124,48 @@ class Sentence:
     @property
     def text(self) -> str:
         return " ".join(self.forms)
+
+    @property
+    def multiword_ranges(self) -> list[tuple[int, int, str]]:
+        """(first word, last word, form), 1-based inclusive, per multiword row."""
+        return [
+            (before + 1, int(columns[0].partition("-")[2]), columns[1])
+            for before, columns in self.extra_rows
+            if "-" in columns[0]
+        ]
+
+
+def _id_number(text: str) -> int | None:
+    """The value of one part of a CoNLL-U id: ASCII digits, else None."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+def _extra_row_fault(token_id: str, before: int, n: int) -> str | None:
+    """What is wrong with the id of an extra row that follows ``before`` of
+    a sentence's ``n`` words, or None.
+
+    A range must be ``int-int``, start at the next word and end neither
+    before its start nor past the last word; an empty node must be
+    ``before.N``.
+    """
+    if not 0 <= before <= n:
+        return f"extra row {token_id!r} is placed at {before}, outside 0..{n}"
+    if "-" in token_id:
+        first, _, last = token_id.partition("-")
+        start, end = _id_number(first), _id_number(last)
+        if start is None or end is None:
+            return f"malformed multiword token range {token_id!r}"
+        if start != before + 1:
+            return f"multiword token range {token_id!r} must start at word {before + 1}"
+        if end < start:
+            return f"multiword token range {token_id!r} ends before it starts"
+        if end > n:
+            return f"multiword token range {token_id!r} ends past the sentence's last word {n}"
+        return None
+    whole, _, part = token_id.partition(".")
+    if _id_number(whole) != before or _id_number(part) is None:
+        return f"malformed empty node id {token_id!r}, expected {before}.N"
+    return None
 
 
 def spans_cross(a: EntitySpan, b: EntitySpan) -> bool:
@@ -218,93 +266,59 @@ def _parse_feats(raw: str, line_number: int) -> tuple[tuple[str, str], ...] | No
     return tuple(sorted(pairs))
 
 
-def _id_number(text: str) -> int | None:
-    """The value of one part of a CoNLL-U id: ASCII digits, else None."""
-    return int(text) if text.isascii() and text.isdigit() else None
-
-
 def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
-    """Parse CoNLL-U into a Corpus.
+    """Parse CoNLL-U into a Corpus, one blank-line-separated block per
+    sentence.
 
     Multiword-token ranges and empty nodes are recorded verbatim in
-    ``Sentence.extra_rows`` (excluded from head indexing); comments are
-    preserved verbatim.  ``# newdoc`` starts a new document.  A range must
-    be ``int-int``, start at the next word and end neither before its
-    start nor past the sentence's last word; an empty node must be
-    ``int.int`` with the number of words before it as its integer part.
+    ``Sentence.extra_rows`` (excluded from head indexing), and a malformed
+    id raises with its own line; comments are preserved verbatim.
+    ``# newdoc`` starts a new document, named by its ``id = ...`` value
+    or else ``doc{n}`` by position.
     """
     text = _decode_utf8(_read_bytes(stream))
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    documents: list[Document] = []
-    doc_sentences: list[Sentence] = []
-    doc_id: str | None = None
-    pending_doc_id: str | None = None
-    saw_any = False
     # Raw FEATS column to its parsed tuple, shared by every token carrying it.
     bundles: dict[str, tuple[tuple[str, str], ...] | None] = {}
+    groups: list[tuple[str | None, list[Sentence]]] = []
+    # The trailing "" ends the last block even without a final newline.
+    lines = text.split("\n")
+    lines.append("")
+    start = 0
+    while start < len(lines):
+        end = lines.index("", start)
+        if end > start:
+            new_doc, doc_id, sentence = _conllu_sentence(lines[start:end], start + 1, bundles)
+            if new_doc or not groups:
+                groups.append((doc_id, []))
+            groups[-1][1].append(sentence)
+        start = end + 1
+    return Corpus(tuple(
+        Document(doc_id or f"doc{k}", tuple(sentences))
+        for k, (doc_id, sentences) in enumerate(groups, start=1)
+    ))
 
+
+def _conllu_sentence(
+    rows: list[str],
+    first_line: int,
+    bundles: dict[str, tuple[tuple[str, str], ...] | None],
+) -> tuple[bool, str | None, Sentence]:
+    """One block's sentence, whether it starts a document, and the id its
+    ``# newdoc`` gives (None without ``= id``)."""
+    new_doc, doc_id = False, None
     comments: list[str] = []
     words: list[Token] = []
     extra_rows: list[tuple[int, tuple[str, ...]]] = []
-    # (id, last word, line number) of each multiword range in the sentence.
-    range_ends: list[tuple[str, int, int]] = []
-    new_doc_requested = False
-
-    def flush_document():
-        nonlocal doc_sentences, doc_id
-        if doc_sentences:
-            documents.append(
-                Document(doc_id or f"doc{len(documents) + 1}", tuple(doc_sentences))
-            )
-        doc_sentences = []
-        doc_id = None
-
-    def flush_sentence(line_number: int):
-        nonlocal comments, words, extra_rows, range_ends
-        nonlocal new_doc_requested, doc_id, pending_doc_id
-        if not words and not comments and not extra_rows:
-            return
-        if not words:
-            raise ConlluParseError(line_number, "sentence contains no word lines")
-        for token_id, end, range_line in range_ends:
-            if end > len(words):
-                raise ConlluParseError(
-                    range_line,
-                    f"multiword token range {token_id!r} ends past the sentence's "
-                    f"last word {len(words)}",
-                )
-        if new_doc_requested:
-            flush_document()
-            doc_id = pending_doc_id
-            pending_doc_id = None
-            new_doc_requested = False
-        try:
-            sentence = Sentence(
-                tokens=tuple(words),
-                comments=tuple(comments),
-                extra_rows=tuple(extra_rows),
-            )
-        except CorpusError as exc:
-            raise ConlluParseError(line_number, str(exc)) from exc
-        doc_sentences.append(sentence)
-        comments, words, extra_rows, range_ends = [], [], [], []
-
-    for idx, line in enumerate(lines, start=1):
-        if line == "":
-            flush_sentence(idx)
-            continue
-        saw_any = True
+    extra_lines: list[int] = []
+    for idx, line in enumerate(rows, start=first_line):
         if line.startswith("#"):
             if words or extra_rows:
                 raise ConlluParseError(idx, "comment after word lines")
             comments.append(line)
             if line.startswith("# newdoc"):
-                new_doc_requested = True
+                new_doc = True
                 _, sep, value = line.partition("=")
-                pending_doc_id = value.strip() if sep else None
+                doc_id = value.strip() if sep else None
             continue
 
         columns = line.split("\t")
@@ -313,30 +327,9 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
                 idx, f"expected {_CONLLU_COLUMNS} tab-separated columns, got {len(columns)}"
             )
         token_id, form, lemma, upos, xpos, feats, head_raw, deprel, deps, misc = columns
-        if "-" in token_id:
-            first, _, last = token_id.partition("-")
-            start, end = _id_number(first), _id_number(last)
-            if start is None or end is None:
-                raise ConlluParseError(idx, f"malformed multiword token range {token_id!r}")
-            if start != len(words) + 1:
-                raise ConlluParseError(
-                    idx,
-                    f"multiword token range {token_id!r} must start at word {len(words) + 1}",
-                )
-            if end < start:
-                raise ConlluParseError(
-                    idx, f"multiword token range {token_id!r} ends before it starts"
-                )
-            range_ends.append((token_id, end, idx))
+        if "-" in token_id or "." in token_id:
             extra_rows.append((len(words), tuple(columns)))
-            continue
-        if "." in token_id:
-            whole, _, part = token_id.partition(".")
-            if _id_number(whole) != len(words) or _id_number(part) is None:
-                raise ConlluParseError(
-                    idx, f"malformed empty node id {token_id!r}, expected {len(words)}.N"
-                )
-            extra_rows.append((len(words), tuple(columns)))
+            extra_lines.append(idx)
             continue
         if _id_number(token_id) != len(words) + 1:
             raise ConlluParseError(
@@ -372,11 +365,21 @@ def ingest_conllu(stream: bytes | IO[bytes]) -> Corpus:
         except CorpusError as exc:
             raise ConlluParseError(idx, str(exc)) from exc
 
-    flush_sentence(len(lines) + 1)
-    flush_document()
-    if not saw_any:
-        return Corpus(())
-    return Corpus(tuple(documents))
+    end_line = first_line + len(rows)
+    if not words:
+        raise ConlluParseError(end_line, "sentence contains no word lines")
+    try:
+        sentence = Sentence(
+            tokens=tuple(words), comments=tuple(comments), extra_rows=tuple(extra_rows)
+        )
+    except CorpusError as exc:
+        # Name the faulty extra row's own line, not the block's end.
+        for (before, columns), line in zip(extra_rows, extra_lines):
+            fault = _extra_row_fault(columns[0], before, len(words))
+            if fault is not None:
+                raise ConlluParseError(line, fault) from exc
+        raise ConlluParseError(end_line, str(exc)) from exc
+    return new_doc, doc_id, sentence
 
 
 def _feats_to_str(ufeats: tuple[tuple[str, str], ...] | None) -> str:

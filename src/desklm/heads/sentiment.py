@@ -133,10 +133,8 @@ def _predict(
     return out
 
 
-def _macro_f1_on(
-    gold: Sequence[int], predicted: Sequence[int], label_count: int = len(LABELS)
-) -> float:
-    confusion = np.zeros((label_count, label_count))
+def _macro_f1_on(gold: Sequence[int], predicted: Sequence[int]) -> float:
+    confusion = np.zeros((len(LABELS), len(LABELS)))
     for g, p in zip(gold, predicted):
         confusion[g, p] += 1
     return macro_f1(confusion)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..corpus import Corpus, Sentence, _id_number
+from ..corpus import Corpus
 from .counts import PrfCounts
 
 CONTENT_DEPRELS = {
@@ -47,7 +47,7 @@ class ConlluEvalError(Exception):
     """Evaluation precondition violated (text mismatch, bad trees)."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Word:
     form: str
     lemma: str
@@ -59,6 +59,13 @@ class _Word:
     is_multiword: bool
     parent: "_Word | None" = None
     functional_children: list["_Word"] = field(default_factory=list)
+    #: The gold word this word stands for: itself on the gold side, the
+    #: aligned gold word or _NOT_ALIGNED on the system side.
+    ref: "_Word | str" = _NOT_ALIGNED
+
+    @property
+    def head_ref(self) -> "_Word | str | None":
+        return None if self.parent is None else self.parent.ref
 
     @property
     def is_content(self) -> bool:
@@ -88,23 +95,6 @@ def _filter_feats(ufeats) -> str:
     return "|".join(kept) if kept else "_"
 
 
-def _multiword_ranges(sentence: Sentence) -> list[tuple[int, int, str]]:
-    """(first word index, last word index, form), 0-based, per multiword row."""
-    ranges = []
-    for _, columns in sentence.extra_rows:
-        token_id = columns[0]
-        if "-" not in token_id:
-            continue
-        start_str, _, end_str = token_id.partition("-")
-        start, end = _id_number(start_str), _id_number(end_str)
-        if start is None or end is None:
-            raise ConlluEvalError(f"malformed multiword token range {token_id!r}")
-        if end < start:
-            raise ConlluEvalError(f"multiword token range {token_id} ends before it starts")
-        ranges.append((start - 1, end - 1, columns[1]))
-    return ranges
-
-
 def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
     """Characters of the raw text plus one _Word per syntactic word."""
     characters: list[str] = []
@@ -115,7 +105,7 @@ def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
         n = len(sentence.tokens)
         forms = [_strip_spaces(token.form) for token in sentence.tokens]
         range_info = {
-            start: (form, min(end, n - 1)) for start, end, form in _multiword_ranges(sentence)
+            start - 1: (form, end - 1) for start, end, form in sentence.multiword_ranges
         }
         spans_by_word: dict[int, tuple[int, int]] = {}
         mwt_cover: set[int] = set()
@@ -209,9 +199,8 @@ def _lcs_pairs(gold: list[_Word], system: list[_Word]) -> list[tuple[_Word, _Wor
     return pairs[::-1]
 
 
-def _align_words(
-    gold: list[_Word], system: list[_Word]
-) -> tuple[list[tuple[_Word, _Word]], dict[int, _Word]]:
+def _align_words(gold: list[_Word], system: list[_Word]) -> list[tuple[_Word, _Word]]:
+    """Aligned (gold, system) pairs; sets every word's ``ref``."""
     multiword_spans = _merge_spans(
         [w.span for w in gold + system if w.is_multiword]
     )
@@ -242,16 +231,18 @@ def _align_words(
             system_chunk.append(system[si])
             si += 1
         pairs.extend(_lcs_pairs(gold_chunk, system_chunk))
-    system_to_gold = {id(s): g for g, s in pairs}
-    return pairs, system_to_gold
+    for word in gold:
+        word.ref = word
+    for gold_word, system_word in pairs:
+        system_word.ref = gold_word
+    return pairs
 
 
 def _alignment_score(
     pairs: list[tuple[_Word, _Word]],
     gold: list[_Word],
     system: list[_Word],
-    system_to_gold: dict[int, _Word],
-    key: Callable[[_Word, Callable[[_Word | None], object]], object] | None = None,
+    key: Callable[[_Word], object],
     keep: Callable[[_Word], bool] | None = None,
 ) -> PrfCounts:
     if keep is None:
@@ -261,21 +252,8 @@ def _alignment_score(
         gold_total = sum(1 for w in gold if keep(w))
         system_total = sum(1 for w in system if keep(w))
         considered = [p for p in pairs if keep(p[0])]
-    if key is None:
-        return PrfCounts(len(considered), system_total, gold_total)
-
-    def via_gold(word: _Word | None):
-        return word
-
-    def via_alignment(word: _Word | None):
-        if word is None:
-            return None
-        return system_to_gold.get(id(word), _NOT_ALIGNED)
-
-    correct = 0
-    for gold_word, system_word in considered:
-        if key(gold_word, via_gold) == key(system_word, via_alignment):
-            correct += 1
+    correct = sum(1 for gold_word, system_word in considered
+                  if key(gold_word) == key(system_word))
     return PrfCounts(correct, system_total, gold_total)
 
 
@@ -317,38 +295,33 @@ def eval_conllu(gold: Corpus, system: Corpus) -> ConlluEvalReport:
             f"first difference at character {prefix})"
         )
 
-    pairs, system_to_gold = _align_words(gold_words, system_words)
+    pairs = _align_words(gold_words, system_words)
 
-    def score(key=None, keep=None) -> PrfCounts:
-        return _alignment_score(pairs, gold_words, system_words, system_to_gold, key, keep)
+    def score(key, keep=None) -> PrfCounts:
+        return _alignment_score(pairs, gold_words, system_words, key, keep)
 
-    def lemma_key(word: _Word, resolve):
-        gold_side = resolve(word)
-        reference = gold_side if gold_side not in (None, _NOT_ALIGNED) else word
-        return word.lemma if reference.lemma != "_" else "_"
+    def lemma_key(word: _Word):
+        return word.lemma if word.ref.lemma != "_" else "_"
 
     return ConlluEvalReport(
-        upos=score(lambda w, _: w.upos),
-        xpos=score(lambda w, _: w.xpos),
-        ufeats=score(lambda w, _: w.feats),
+        upos=score(lambda w: w.upos),
+        xpos=score(lambda w: w.xpos),
+        ufeats=score(lambda w: w.feats),
         lemmas=score(lemma_key),
-        uas=score(lambda w, resolve: resolve(w.parent)),
-        las=score(lambda w, resolve: (resolve(w.parent), w.deprel)),
+        uas=score(lambda w: w.head_ref),
+        las=score(lambda w: (w.head_ref, w.deprel)),
         mlas=score(
-            lambda w, resolve: (
-                resolve(w.parent),
+            lambda w: (
+                w.head_ref,
                 w.deprel,
                 w.upos,
                 w.feats,
-                [
-                    (resolve(c), c.deprel, c.upos, c.feats)
-                    for c in w.functional_children
-                ],
+                [(c.ref, c.deprel, c.upos, c.feats) for c in w.functional_children],
             ),
             keep=lambda w: w.is_content,
         ),
         blex=score(
-            lambda w, resolve: (resolve(w.parent), w.deprel, lemma_key(w, resolve)),
+            lambda w: (w.head_ref, w.deprel, lemma_key(w)),
             keep=lambda w: w.is_content,
         ),
     )

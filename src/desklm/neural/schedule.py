@@ -24,6 +24,9 @@ class ScheduleConfig:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
+        for key in ("warmup_steps", "total_steps", "warmup_epochs", "decay_epochs"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.kind == "polynomial_decay" and self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
 
@@ -42,9 +45,9 @@ def schedule_lr(config: ScheduleConfig, step: float) -> float:
 
     # cosine_warmup_decay, by epoch fraction
     epoch = step
-    if epoch <= config.warmup_epochs:
+    if config.warmup_epochs > 0 and epoch <= config.warmup_epochs:
         return config.peak_lr * (1.0 - math.cos(math.pi * epoch / config.warmup_epochs)) / 2.0
-    if epoch <= config.warmup_epochs + config.decay_epochs:
+    if config.decay_epochs > 0 and epoch <= config.warmup_epochs + config.decay_epochs:
         offset = epoch - config.warmup_epochs
         return config.peak_lr * (1.0 + math.cos(math.pi * offset / config.decay_epochs)) / 2.0
     return 0.0

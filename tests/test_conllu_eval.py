@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desklm.corpus import Corpus, Document, ingest_conllu
+from desklm.corpus import CorpusError, ingest_conllu
 from desklm.metrics.conllu_eval import ConlluEvalError, _strip_spaces, eval_conllu
 
 
@@ -162,23 +162,19 @@ class TestMultiwordAlignment:
         assert report.upos.system_total == 1
 
     def test_range_ending_before_its_start_is_rejected(self):
-        # Ingest rejects such a range, so the sentence is built directly to
-        # reach the evaluator's own check.
+        # Ingest rejects such a range; a sentence built directly is
+        # rejected at construction, before any evaluator could see it.
         sentence = next(_corpus(MWT_GOLD).sentences())
         reversed_range = ("2-1",) + sentence.extra_rows[0][1][1:]
-        sentence = replace(sentence, extra_rows=((0, reversed_range),))
-        gold = Corpus((Document("d", (sentence,)),))
-        with pytest.raises(ConlluEvalError, match="2-1"):
-            eval_conllu(gold, _corpus(MWT_SYSTEM_PLAIN))
+        with pytest.raises(CorpusError, match="^multiword token range '2-1' must start at word 1$"):
+            replace(sentence, extra_rows=((0, reversed_range),))
 
     def test_malformed_range_is_rejected(self):
         # Skipping the row would score the sentence as if it had none.
         sentence = next(_corpus(MWT_GOLD).sentences())
         malformed = ("1-x",) + sentence.extra_rows[0][1][1:]
-        sentence = replace(sentence, extra_rows=((0, malformed),))
-        gold = Corpus((Document("d", (sentence,)),))
-        with pytest.raises(ConlluEvalError, match="malformed multiword token range '1-x'"):
-            eval_conllu(gold, _corpus(MWT_SYSTEM_PLAIN))
+        with pytest.raises(CorpusError, match="^malformed multiword token range '1-x'$"):
+            replace(sentence, extra_rows=((0, malformed),))
 
     def test_mwt_gold_vs_gold(self):
         gold = _corpus(MWT_GOLD)

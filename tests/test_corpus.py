@@ -135,6 +135,50 @@ class TestIngestConllu:
     def test_serialize_reproduces_input_bytes(self):
         assert serialize_conllu(ingest_conllu(CONLLU_SAMPLE.encode("utf-8"))) == CONLLU_SAMPLE
 
+    @pytest.mark.parametrize("data", [b"", b"\n", b"\n\n\n"])
+    def test_blank_lines_only_give_an_empty_corpus(self, data):
+        assert ingest_conllu(data) == Corpus(())
+
+    def test_several_blank_lines_between_sentences(self):
+        data = "\n\n" + _row(1, "a", "_", 0) + "\n\n\n" + _row(1, "b", "_", 0) + "\n\n"
+        corpus = ingest_conllu(data.encode("utf-8"))
+        assert [s.forms for s in corpus.sentences()] == [["a"], ["b"]]
+        # Line numbers still count every blank line.
+        data = data.replace(_row(1, "b", "_", 0), _row(1, "b", "_", "x"))
+        with pytest.raises(ConlluParseError, match="^line 7: non-integer HEAD 'x'$"):
+            ingest_conllu(data.encode("utf-8"))
+
+    def test_no_final_newline(self):
+        data = _row(1, "a", "_", 0) + "\n" + _row(1, "b", "_", 0)
+        corpus = ingest_conllu(data.rstrip("\n").encode("utf-8"))
+        assert [s.forms for s in corpus.sentences()] == [["a"], ["b"]]
+        # A block-level fault names the line past the last one.
+        data = data.replace(_row(1, "b", "_", 0), _row(1, "b", "_", 3))
+        with pytest.raises(ConlluParseError, match="^line 4: head 3 out of range for length 1$"):
+            ingest_conllu(data.rstrip("\n").encode("utf-8"))
+
+    def test_newdoc_without_id_mid_file_is_named_by_position(self):
+        data = (
+            "# newdoc id = first\n" + _row(1, "a", "_", 0) + "\n"
+            + "# newdoc\n" + _row(1, "b", "_", 0) + "\n"
+            + _row(1, "c", "_", 0) + "\n"
+            + "# newdoc id =\n" + _row(1, "d", "_", 0) + "\n"
+        )
+        corpus = ingest_conllu(data.encode("utf-8"))
+        assert [(d.id, len(d.sentences)) for d in corpus.documents] == [
+            ("first", 1), ("doc2", 2), ("doc3", 1)
+        ]
+
+    def test_sentences_before_the_first_newdoc_form_doc1(self):
+        data = _row(1, "a", "_", 0) + "\n" + "# newdoc id = d\n" + _row(1, "b", "_", 0) + "\n"
+        corpus = ingest_conllu(data.encode("utf-8"))
+        assert [d.id for d in corpus.documents] == ["doc1", "d"]
+
+    def test_comment_only_block_names_the_line_after_it(self):
+        data = _row(1, "a", "_", 0) + "\n# orphan\n\n"
+        with pytest.raises(ConlluParseError, match="^line 4: sentence contains no word lines$"):
+            ingest_conllu(data.encode("utf-8"))
+
     def test_feature_error_carries_one_line_prefix(self):
         data = "".join(_row(i, f"t{i}", "A=1", 0 if i == 1 else 1) for i in range(1, 5))
         data += _row(5, "t5", "B=1|B=2", 1) + "\n"
@@ -228,6 +272,31 @@ class TestConlluExtraRows:
         with pytest.raises(ConlluParseError) as caught:
             ingest_conllu(("".join(rows) + "\n").encode("utf-8"))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("token_id, before, message", MALFORMED,
+                             ids=[f"{token_id}@{before}" for token_id, before, _ in MALFORMED])
+    def test_malformed_id_rejected_by_sentence(self, token_id, before, message):
+        # A sentence built without ingest gets the same rule and message.
+        words = next(ingest_conllu(("".join(self.WORDS) + "\n").encode("utf-8")).sentences())
+        columns = tuple(self._extra(token_id).rstrip("\n").split("\t"))
+        with pytest.raises(CorpusError) as caught:
+            Sentence(words.tokens, extra_rows=((before, columns),))
+        assert str(caught.value) == message.partition(": ")[2]
+
+    @pytest.mark.parametrize("token_id, before", [("3.1", 3), ("0-0", -1), ("1-1", -1)])
+    def test_row_outside_the_sentence_rejected(self, token_id, before):
+        # Only a hand-built sentence can place a row there: serializing
+        # would drop it.
+        sentence = next(ingest_conllu(("".join(self.WORDS) + "\n").encode("utf-8")).sentences())
+        columns = tuple(self._extra(token_id).rstrip("\n").split("\t"))
+        with pytest.raises(CorpusError,
+                           match=f"^extra row '{token_id}' is placed at {before}, outside 0..2$"):
+            replace(sentence, extra_rows=((before, columns),))
+
+    def test_multiword_ranges_are_one_based(self):
+        rows = [self._extra("1-2"), *self.WORDS, self._extra("2.1")]
+        sentence = next(ingest_conllu(("".join(rows) + "\n").encode("utf-8")).sentences())
+        assert sentence.multiword_ranges == [(1, 2, "x")]
 
     @pytest.mark.parametrize("token_id", ["1-2", "0.1"])
     def test_comment_after_an_extra_row_names_its_line(self, token_id):

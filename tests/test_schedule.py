@@ -76,3 +76,22 @@ class TestValidation:
     def test_nonpositive_peak_rejected(self):
         with pytest.raises(ValueError, match="peak_lr"):
             ScheduleConfig(kind="cosine_warmup_decay", peak_lr=0.0)
+
+    @pytest.mark.parametrize("key", ["warmup_steps", "total_steps", "warmup_epochs",
+                                     "decay_epochs"])
+    def test_negative_length_rejected_by_name(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
+            ScheduleConfig("cosine_warmup_decay", peak_lr=1.0, **{key: -1})
+
+
+class TestZeroLengthPhases:
+    def test_cosine_without_warmup_starts_at_peak(self):
+        config = ScheduleConfig("cosine_warmup_decay", 1e-3, warmup_epochs=0.0)
+        assert schedule_lr(config, 0) == 1e-3
+        assert schedule_lr(config, 5.0) == pytest.approx(5e-4, rel=1e-12)
+
+    def test_cosine_without_warmup_or_decay_is_zero(self):
+        config = ScheduleConfig("cosine_warmup_decay", 1e-3, warmup_epochs=0.0,
+                                decay_epochs=0.0)
+        assert schedule_lr(config, 0) == 0.0
+        assert schedule_lr(config, 1.0) == 0.0
