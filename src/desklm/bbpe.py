@@ -7,11 +7,12 @@ run of non-whitespace; remaining whitespace runs stand alone.  Merges
 never cross pre-token boundaries.  No unicode normalization is applied.
 
 Training counts adjacent pairs over the distinct pre-tokens once and then
-updates the counts per merge (Sennrich et al. 2016; SentencePiece): an
-index from each pair to the pre-tokens holding it limits every merge to
-the pre-tokens it changes, and a heap with lazy deletion finds the next
-pair.  The cost per merge follows the pre-tokens it touches, not the
-corpus size.
+updates them only at each merge site (Sennrich et al. 2016; SentencePiece):
+an index from each pair to the pre-tokens that may hold it limits every
+merge to the pre-tokens it can change, and a heap with lazy deletion finds
+the next pair.  The cost per merge follows the pre-tokens it touches, not
+the corpus size.  The merged training pre-tokens seed the encode cache, so
+encoding the training corpus again costs one lookup per pre-token.
 """
 
 from __future__ import annotations
@@ -123,14 +124,25 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
     by the left and then the right operand's bytes.  Pairs occurring only
     once are never merged.
 
-    Pair counts are kept incrementally.  A merge visits only the
-    pre-tokens that hold its pair: each one's adjacent pairs are
-    subtracted, the merge is applied left to right without overlap, and
-    the new adjacent pairs are added back.  Recounting whole pre-tokens
-    keeps overlapping runs exact (``"aaa"`` holds ``(a, a)`` twice but
-    merges once).  The heap is keyed ``(-count, epoch, left bytes, right
-    bytes)``; the last three never change for a pair, so an entry is
-    stale exactly when its count differs from the live one.
+    Pair counts are kept incrementally.  Merging ``(a, b)`` into ``ab``
+    walks each pre-token indexed under the pair once, merging left to
+    right without overlap.  At each merge site the count of ``(prev, a)``
+    moves to ``(prev, ab)`` and that of ``(b, next)`` to ``(ab, next)``,
+    with ``prev`` and ``next`` read from the pre-token as merged so far;
+    this keeps overlapping runs exact (``"aaaa"`` holds ``(a, a)`` three
+    times and becomes ``aa aa``).  No ``(a, b)`` survives the pass, so
+    the pair and its index entry are dropped.  Otherwise the index only
+    grows: a pre-token stays listed under a pair it no longer holds and
+    costs one empty scan, and a pair's entry goes when its count reaches
+    0.  The heap is keyed ``(-count, epoch, left bytes, right bytes)``;
+    the last three never change for a pair, so an entry is stale exactly
+    when its count differs from the live one.
+
+    The returned vocabulary's encode cache holds every training
+    pre-token's ids as merged here.  A merge only forms pairs holding its
+    own new id, which only later merges use, so applying the lowest-ranked
+    merge first (:func:`_encode_pretoken`) applies the merges in training
+    order, each to every site, and reaches the same ids.
     """
     if vocab_cap < 256 + NUM_SPECIALS:
         raise ValueError(f"vocab_cap must be >= {256 + NUM_SPECIALS}")
@@ -141,17 +153,15 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
     creation_epoch: list[int] = [0] * len(tokens)
     merges: list[tuple[int, int, int]] = []
 
-    words: list[list[int]] = []
-    word_counts: list[int] = []
-    for pretoken, count in _corpus_pretoken_counts(corpus).items():
-        words.append([FIRST_BYTE_ID + b for b in pretoken.encode("utf-8")])
-        word_counts.append(count)
+    counted = _corpus_pretoken_counts(corpus)
+    words = [[FIRST_BYTE_ID + b for b in pretoken.encode("utf-8")] for pretoken in counted]
+    word_counts = list(counted.values())
 
-    pair_counts: Counter = Counter()
+    pair_counts: dict[tuple[int, int], int] = {}
     pair_words: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
     for index, (word, count) in enumerate(zip(words, word_counts)):
         for pair in zip(word, word[1:]):
-            pair_counts[pair] += count
+            pair_counts[pair] = pair_counts.get(pair, 0) + count
             pair_words[pair].add(index)
 
     def heap_entry(pair: tuple[int, int]) -> tuple:
@@ -167,7 +177,7 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
     while len(tokens) < vocab_cap:
         while heap:
             neg_count, *_, best = heapq.heappop(heap)
-            if pair_counts[best] == -neg_count:
+            if pair_counts.get(best) == -neg_count:
                 break
         else:
             break
@@ -176,31 +186,43 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
         merges.append((best[0], best[1], new_id))
         creation_epoch.append(len(merges))
 
-        delta: Counter = Counter()
-        for index in list(pair_words[best]):
+        a, b = best
+        del pair_counts[best]
+        delta: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for index in pair_words.pop(best):
             word, count = words[index], word_counts[index]
-            old_pairs = list(zip(word, word[1:]))
-            _apply_merge_inplace(word, best, new_id)
-            new_pairs = list(zip(word, word[1:]))
-            for pair in old_pairs:
-                delta[pair] -= count
-            for pair in new_pairs:
-                delta[pair] += count
-            for pair in set(old_pairs).difference(new_pairs):
-                pair_words[pair].discard(index)
-            for pair in set(new_pairs).difference(old_pairs):
-                pair_words[pair].add(index)
+            i = 0
+            while i < len(word) - 1:
+                if word[i] == a and word[i + 1] == b:
+                    if i:
+                        prev = word[i - 1]
+                        delta[prev, a] -= count
+                        delta[prev, new_id] += count
+                        pair_words[prev, new_id].add(index)
+                    if i + 2 < len(word):
+                        following = word[i + 2]
+                        delta[b, following] -= count
+                        delta[new_id, following] += count
+                        pair_words[new_id, following].add(index)
+                    word[i : i + 2] = [new_id]
+                i += 1
+        # In a run like "aaa" a site's right neighbour is ``a`` itself, which
+        # debits (a, a): the pair just dropped, none of which is left.
+        delta.pop(best, None)
 
         for pair, change in delta.items():
-            if not change:
-                continue
-            pair_counts[pair] += change
-            if pair_counts[pair] == 0:
-                del pair_counts[pair], pair_words[pair]
-            elif pair_counts[pair] >= 2:
-                heapq.heappush(heap, heap_entry(pair))
+            count = pair_counts.get(pair, 0) + change
+            if count:
+                pair_counts[pair] = count
+                if change and count >= 2:
+                    heapq.heappush(heap, heap_entry(pair))
+            else:
+                pair_counts.pop(pair, None)
+                pair_words.pop(pair, None)
 
-    return ByteVocab(tokens=tuple(tokens), merges=tuple(merges))
+    return ByteVocab(
+        tokens=tuple(tokens), merges=tuple(merges), _pretoken_cache=dict(zip(counted, words))
+    )
 
 
 def _apply_merge_inplace(word: list[int], pair: tuple[int, int], new_id: int) -> None:

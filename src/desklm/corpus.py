@@ -30,6 +30,9 @@ class ConlluParseError(CorpusError):
         self.line_number = line_number
 
 
+_CONLLU_COLUMNS = 10
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
     """Single syntactic word.
@@ -88,8 +91,9 @@ class Sentence:
     ``comments`` keeps CoNLL-U comment lines verbatim; ``extra_rows``
     keeps multiword-token ranges and empty-node lines as raw column
     tuples, positioned by the number of word lines preceding them.  Each
-    extra row's id is checked at construction (see :func:`_extra_row_fault`),
-    so every path that builds a sentence gets the same CoNLL-U id rules.
+    extra row's column count and id are checked at construction (see
+    :func:`_extra_row_fault`), so every path that builds a sentence gets
+    the same CoNLL-U rules.
     """
 
     tokens: tuple[Token, ...]
@@ -110,6 +114,13 @@ class Sentence:
                 if a is not b and spans_cross(a, b):
                     raise CorpusError(f"entity spans {a} and {b} cross")
         for before, columns in self.extra_rows:
+            if len(columns) != _CONLLU_COLUMNS:
+                raise CorpusError(
+                    f"extra row {columns[0]!r} has {len(columns)} columns,"
+                    f" expected {_CONLLU_COLUMNS}"
+                    if columns
+                    else f"extra row is empty, expected {_CONLLU_COLUMNS} columns"
+                )
             fault = _extra_row_fault(columns[0], before, n)
             if fault is not None:
                 raise CorpusError(fault)
@@ -246,9 +257,6 @@ def ingest_plaintext(stream: bytes | IO[bytes]) -> Corpus:
     if block:
         documents.append(Document(f"doc{len(documents) + 1}", tuple(block)))
     return Corpus(tuple(documents))
-
-
-_CONLLU_COLUMNS = 10
 
 
 def _parse_feats(raw: str, line_number: int) -> tuple[tuple[str, str], ...] | None:

@@ -95,13 +95,39 @@ def _filter_feats(ufeats) -> str:
     return "|".join(kept) if kept else "_"
 
 
+def _tree_fault(heads: list[int | None]) -> str | None:
+    """What keeps ``heads`` (1-based, 0 for the root) from forming one
+    rooted tree, or None."""
+    if any(h is None for h in heads):
+        return "every word must carry a HEAD for evaluation"
+    roots = heads.count(0)
+    if roots == 0:
+        return "unrooted sentence"
+    if roots > 1:
+        return "multiple roots in sentence"
+    n = len(heads)
+    for i in range(n):
+        node, steps = i, 0
+        while heads[node] != 0:
+            node = heads[node] - 1
+            steps += 1
+            if steps > n:
+                return "cycle in dependency tree"
+    return None
+
+
 def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
     """Characters of the raw text plus one _Word per syntactic word."""
     characters: list[str] = []
     words: list[_Word] = []
     # Filtered FEATS per distinct bundle: ingest shares one tuple per bundle.
     filtered: dict[tuple[tuple[str, str], ...] | None, str] = {}
-    for sentence in corpus.sentences():
+    located = (
+        (doc.id, number, sentence)
+        for doc in corpus.documents
+        for number, sentence in enumerate(doc.sentences, start=1)
+    )
+    for doc_id, number, sentence in located:
         n = len(sentence.tokens)
         forms = [_strip_spaces(token.form) for token in sentence.tokens]
         range_info = {
@@ -141,23 +167,12 @@ def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
         ]
 
         heads = [token.head for token in sentence.tokens]
-        if any(h is None for h in heads):
-            raise ConlluEvalError("every word must carry a HEAD for evaluation")
-        roots = [i for i, h in enumerate(heads) if h == 0]
-        if len(roots) == 0:
-            raise ConlluEvalError("unrooted sentence")
-        if len(roots) > 1:
-            raise ConlluEvalError("multiple roots in sentence")
+        fault = _tree_fault(heads)
+        if fault is not None:
+            raise ConlluEvalError(f"document {doc_id!r}, sentence {number}: {fault}")
         for i, head in enumerate(heads):
             if head != 0:
                 sentence_words[i].parent = sentence_words[head - 1]
-        for i in range(n):
-            node, steps = i, 0
-            while heads[node] != 0:
-                node = heads[node] - 1
-                steps += 1
-                if steps > n:
-                    raise ConlluEvalError("cycle in dependency tree")
         for word in sentence_words:
             if word.parent is not None and word.is_functional:
                 word.parent.functional_children.append(word)

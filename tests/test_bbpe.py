@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from desklm.batching import pack_full_sentences
 from desklm.bbpe import (
     FIRST_BYTE_ID,
     FIRST_MERGE_ID,
@@ -17,6 +18,7 @@ from desklm.bbpe import (
     ByteVocab,
     _apply_merge_inplace,
     _corpus_pretoken_counts,
+    _encode_pretoken,
     decode,
     encode,
     load_vocab,
@@ -171,9 +173,56 @@ class TestReferenceEquivalence:
         assert FIRST_MERGE_ID + len(stopped.merges) < 52000
         assert stopped.merges == _reference_merges(corpus, 52000)
 
+    # Lines of plain text, one long pre-token each: odd-length runs leave a
+    # remainder at every doubling, and two copies of one pre-token let its
+    # merges cascade to the whole of it.
+    WORST_CASE = {
+        "one-byte runs": ["a" * 257, "a" * 200, "aaa"],
+        "repeated bigrams": ["ab" * 128, "ba" * 100, "b" + "ab" * 127],
+        "cascade": ["ab" * 64, "ab" * 64],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WORST_CASE))
+    def test_worst_case_pretokens_match(self, kind):
+        corpus = ingest_plaintext("\n".join(self.WORST_CASE[kind]).encode("utf-8"))
+        reached = train_bbpe(corpus, vocab_cap=FIRST_MERGE_ID + 4)
+        assert len(reached.merges) == 4
+        assert reached.merges == _reference_merges(corpus, FIRST_MERGE_ID + 4)
+        stopped = train_bbpe(corpus, vocab_cap=52000)
+        assert len(stopped.merges) > 4
+        assert stopped.merges == _reference_merges(corpus, 52000)
+
+    def test_cascade_merges_the_whole_pretoken(self):
+        corpus = ingest_plaintext("\n".join(self.WORST_CASE["cascade"]).encode("utf-8"))
+        vocab = train_bbpe(corpus, vocab_cap=52000)
+        assert [vocab.tokens[result] for *_, result in vocab.merges] == [
+            b"ab" * 2 ** k for k in range(7)
+        ]
+        assert vocab._pretoken_cache == {"ab" * 64: [FIRST_MERGE_ID + 6]}
+
     def test_whitespace_corpus_has_whitespace_only_pretokens(self):
         counted = _corpus_pretoken_counts(_edge_corpus("whitespace", 1))
         assert any(pretoken.isspace() and len(pretoken) > 1 for pretoken in counted)
+
+
+class TestSeededCache:
+    """The trainer's merged pre-tokens stand in for encoding them again."""
+
+    @pytest.mark.parametrize("name, cap", [("tiny", 400), ("random", 1500)])
+    def test_cache_matches_a_cold_encode(self, name, cap):
+        if name == "tiny":
+            corpus = ingest_plaintext(TINY_CORPUS.read_bytes())
+        else:
+            corpus = _random_corpus(0)
+        vocab = train_bbpe(corpus, vocab_cap=cap)
+        cold = ByteVocab(vocab.tokens, vocab.merges)
+        assert cold._pretoken_cache == {}
+        assert vocab._pretoken_cache.keys() == _corpus_pretoken_counts(corpus).keys()
+        for pretoken, ids in vocab._pretoken_cache.items():
+            assert ids == _encode_pretoken(cold, pretoken), pretoken
+        assert pack_full_sentences(corpus, vocab, max_len=64) == pack_full_sentences(
+            corpus, cold, max_len=64
+        )
 
 
 class TestEncodeDecode:

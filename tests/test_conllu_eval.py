@@ -214,6 +214,18 @@ class TestDefinitionDetails:
         with pytest.raises(ConlluEvalError, match="HEAD"):
             eval_conllu(_corpus(text), _corpus(text))
 
+    @pytest.mark.parametrize("second, fault", [
+        (GOLD_SPLIT.replace("\t2\tnsubj", "\t0\tnsubj"), "multiple roots in sentence"),
+        (GOLD_SPLIT.replace("\t2\tobl", "\t3\tobl"), "cycle in dependency tree"),
+        (GOLD_SPLIT.replace("\t0\troot", "\t2\troot"), "unrooted sentence"),
+        (GOLD_SPLIT.replace("\t0\troot", "\t_\troot"),
+         "every word must carry a HEAD for evaluation"),
+    ], ids=["two roots", "cycle", "unrooted", "no head"])
+    def test_tree_fault_names_document_and_sentence(self, second, fault):
+        text = "# newdoc id = d7\n" + TEN_WORD_GOLD + second
+        with pytest.raises(ConlluEvalError, match=f"^document 'd7', sentence 2: {fault}$"):
+            eval_conllu(_corpus(text), _corpus(text))
+
     def test_order_independence_of_counts(self):
         two_sentences = TEN_WORD_GOLD + GOLD_SPLIT
         reversed_order = GOLD_SPLIT + TEN_WORD_GOLD

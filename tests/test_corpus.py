@@ -293,6 +293,17 @@ class TestConlluExtraRows:
                            match=f"^extra row '{token_id}' is placed at {before}, outside 0..2$"):
             replace(sentence, extra_rows=((before, columns),))
 
+    @pytest.mark.parametrize("columns, message", [
+        (("1-2",), "extra row '1-2' has 1 columns, expected 10"),
+        (("1-2", "x") + ("_",) * 9, "extra row '1-2' has 11 columns, expected 10"),
+        ((), "extra row is empty, expected 10 columns"),
+    ])
+    def test_extra_row_of_the_wrong_width_rejected(self, columns, message):
+        # Accepted, a one-column range would break eval_conllu and
+        # serialize as a one-column row.
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            Sentence((Token("a", head=0), Token("b", head=1)), extra_rows=((0, columns),))
+
     def test_multiword_ranges_are_one_based(self):
         rows = [self._extra("1-2"), *self.WORDS, self._extra("2.1")]
         sentence = next(ingest_conllu(("".join(rows) + "\n").encode("utf-8")).sentences())
