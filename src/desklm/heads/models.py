@@ -139,10 +139,12 @@ class SequenceEncoder:
         contextual: np.ndarray | None = None,
     ) -> Tensor:
         """(len(forms), output_dim) inputs from word ids, characters and
-        optional frozen contextual vectors; ``contextual`` must be
-        (len(forms), contextual_dim) and is cast to the parameter dtype."""
+        frozen contextual vectors; ``contextual``, required when contextual_dim
+        is nonzero, is (len(forms), contextual_dim), cast to the parameter dtype."""
         dtype = self.dtype
         expected = (len(forms), self.config.contextual_dim)
+        if contextual is None and self.config.contextual_dim:
+            raise ValueError(f"contextual features must have shape {expected}, but none were given")
         if contextual is not None and np.shape(contextual) != expected:
             raise ValueError(
                 f"contextual features must have shape {expected}, got {np.shape(contextual)}"
@@ -164,8 +166,6 @@ class SequenceEncoder:
             char_vectors.append(concat([last_forward, first_backward], axis=1))
         features = concat([word_vectors, concat(char_vectors, axis=0)], axis=1)
         if self.config.contextual_dim:
-            if contextual is None:
-                contextual = np.zeros(expected, dtype=dtype)
             features = concat([features, Tensor(np.asarray(contextual, dtype=dtype))], axis=1)
         return features
 

@@ -1,14 +1,15 @@
 """Sentiment fine-tuning protocol.
 
-A pretrained encoder is wrapped with a softmax classifier over the
+Each document goes through ``mlm.encode_texts`` with a copy of the
+pretrained transformer's weights; a softmax classifier reads the
 first-position (begin-of-sequence) vector of the final layer.  Training
 follows a freeze-then-finetune recipe with lazy Adam and batch size 64:
-epoch 1 trains the classifier alone at learning rate 1e-3 with the
-encoder frozen; epochs 2-15 train everything under a cosine schedule
-(4 epochs warmup from zero, 10 epochs decay back to zero) peaking at a
-grid learning rate.  The peak is selected by the 10-fold mean of the
-development macro-F1; test macro-F1 mean and standard deviation are
-reported for the selected peak.
+epoch 1 trains the classifier alone at learning rate 1e-3 on constant
+views of the transformer; epochs 2-15 train everything under a cosine
+schedule (4 epochs warmup from zero, 10 epochs decay back to zero)
+peaking at a grid learning rate.  The peak is selected by the 10-fold
+mean of the development macro-F1; test macro-F1 mean and standard
+deviation are reported for the selected peak.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..bbpe import ByteVocab, encode
+from ..bbpe import ByteVocab
 from ..corpus import kfold_split
 from ..metrics.aggregate import aggregate_folds, macro_f1
-from ..neural.layers import TransformerConfig, forward_transformer, mlm_loss
-from ..neural.mlm import train_step
+from ..neural.layers import TransformerConfig, mlm_loss
+from ..neural.mlm import encode_texts, train_step
 from ..neural.optim import AdamConfig, AdamState
 from ..neural.schedule import ScheduleConfig, schedule_lr
 from ..neural.tensor import Tensor, constants
@@ -66,51 +67,14 @@ def read_sentiment_tsv(text: str) -> list[SentimentItem]:
     return items
 
 
-@dataclass
-class SentimentEncoder:
-    """Pretrained transformer bundle used as the document encoder."""
-
-    config: TransformerConfig
-    params: dict[str, Tensor]
-    vocab: ByteVocab
-
-    def copy_params(self) -> dict[str, Tensor]:
-        """Trainable copies of the transformer weights, without the
-        masked-LM head (``mlm.*``), which no fold reads."""
-        return {
-            name: Tensor(p.data.copy(), requires_grad=True)
-            for name, p in self.params.items()
-            if not name.startswith("mlm.")
-        }
-
-    def item_ids(self, text: str, max_len: int | None = None) -> list[int]:
-        cap = (max_len or self.config.max_positions) - 2
-        ids = list(encode(self.vocab, text).ids)[:cap]
-        return [self.vocab.special_tokens.bos, *ids, self.vocab.special_tokens.eos]
-
-
-def _pad_batch(id_lists: Sequence[Sequence[int]], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(ids) for ids in id_lists)
-    batch = np.full((len(id_lists), width), pad, dtype=np.int64)
-    for row, ids in enumerate(id_lists):
-        batch[row, : len(ids)] = ids
-    return batch, batch != pad
-
-
 def _document_embeddings(
     config: TransformerConfig,
     params: dict[str, Tensor],
     vocab: ByteVocab,
-    id_lists: Sequence[Sequence[int]],
-    frozen: bool,
+    texts: Sequence[str],
 ) -> Tensor:
-    """First-position vectors of the final layer; with ``frozen`` the
-    encoder runs on constant views of ``params`` and builds no graph."""
-    if frozen:
-        params = constants(params)
-    input_ids, mask = _pad_batch(id_lists, vocab.special_tokens.pad)
-    layers = forward_transformer(config, params, input_ids, pad_mask=mask)
-    return layers[-1][:, 0, :]
+    """First-position vectors of the final layer."""
+    return encode_texts(config, params, vocab, texts)[-1][:, 0, :]
 
 
 def _classifier_loss(embeddings: Tensor, params: dict[str, Tensor], targets: np.ndarray) -> Tensor:
@@ -121,13 +85,14 @@ def _predict(
     config: TransformerConfig,
     params: dict[str, Tensor],
     vocab: ByteVocab,
-    id_lists: Sequence[Sequence[int]],
+    texts: Sequence[str],
     batch_size: int,
 ) -> list[int]:
+    frozen = constants(params)
     out: list[int] = []
-    for start in range(0, len(id_lists), batch_size):
-        chunk = id_lists[start : start + batch_size]
-        embeddings = _document_embeddings(config, params, vocab, chunk, frozen=True)
+    for start in range(0, len(texts), batch_size):
+        chunk = texts[start : start + batch_size]
+        embeddings = _document_embeddings(config, frozen, vocab, chunk)
         logits = embeddings.data @ params["cls.w"].data + params["cls.b"].data
         out.extend(int(i) for i in np.argmax(logits, axis=-1))
     return out
@@ -157,8 +122,10 @@ class SentimentProtocolResult:
 
 
 def _train_one_fold(
-    encoder: SentimentEncoder,
-    id_lists: Sequence[Sequence[int]],
+    config: TransformerConfig,
+    pretrained: dict[str, Tensor],
+    vocab: ByteVocab,
+    texts: Sequence[str],
     targets: np.ndarray,
     train_indices: list[int],
     peak_lr: float,
@@ -168,12 +135,16 @@ def _train_one_fold(
     warmup_epochs: float,
     decay_epochs: float,
 ) -> dict[str, Tensor]:
-    d = encoder.config.hidden
-    params = encoder.copy_params()
+    # Trainable copies without the masked-LM head (``mlm.*``), which no fold reads.
+    params = {
+        name: Tensor(p.data.copy(), requires_grad=True)
+        for name, p in pretrained.items()
+        if not name.startswith("mlm.")
+    }
     # Zero-initialized probing head: epoch-1 behavior then depends only on
     # the frozen features.
     dtype = next(iter(params.values())).data.dtype
-    params["cls.w"] = Tensor(np.zeros((d, len(LABELS)), dtype=dtype), requires_grad=True)
+    params["cls.w"] = Tensor(np.zeros((config.hidden, len(LABELS)), dtype=dtype), requires_grad=True)
     params["cls.b"] = Tensor(np.zeros(len(LABELS), dtype=dtype), requires_grad=True)
 
     adam = AdamConfig(lazy=True)
@@ -184,17 +155,17 @@ def _train_one_fold(
     )
     steps_per_epoch = max(1, math.ceil(len(train_indices) / batch_size))
     total_epochs = int(warmup_epochs + decay_epochs) + 1
+    # Views of the same arrays: they see every in-place Adam update.
+    frozen = constants(params)
 
     for epoch in range(1, total_epochs + 1):
         order = [train_indices[i] for i in rng.permutation(len(train_indices))]
         for step, start in enumerate(range(0, len(order), batch_size)):
             chunk = order[start : start + batch_size]
-            frozen = epoch == 1
             embeddings = _document_embeddings(
-                encoder.config, params, encoder.vocab,
-                [id_lists[i] for i in chunk], frozen=frozen,
+                config, frozen if epoch == 1 else params, vocab, [texts[i] for i in chunk]
             )
-            if frozen:
+            if epoch == 1:
                 lr = classifier_lr
             else:
                 lr = schedule_lr(schedule, (epoch - 2) + (step + 1) / steps_per_epoch)
@@ -206,7 +177,9 @@ def _train_one_fold(
 
 def run_sentiment_protocol(
     items: Sequence[SentimentItem],
-    encoder: SentimentEncoder,
+    config: TransformerConfig,
+    params: dict[str, Tensor],
+    vocab: ByteVocab,
     lr_grid: Sequence[float] = DEFAULT_LR_GRID,
     k: int = 10,
     seed: int = 0,
@@ -215,13 +188,12 @@ def run_sentiment_protocol(
     dev_fraction: float = 0.10,
     warmup_epochs: float = 4.0,
     decay_epochs: float = 10.0,
-    max_len: int | None = None,
 ) -> SentimentProtocolResult:
     """Full grid / k-fold protocol; returns the selected peak learning
     rate and the fold statistics at that peak."""
     if not items:
         raise SentimentError("empty dataset")
-    id_lists = [encoder.item_ids(item.text, max_len) for item in items]
+    texts = [item.text for item in items]
     targets = np.array([LABELS.index(item.label) for item in items], dtype=np.int64)
 
     folds = kfold_split(
@@ -239,15 +211,14 @@ def run_sentiment_protocol(
             dev_indices = [int(x) for x in fold.dev_ids]
             test_indices = [int(x) for x in fold.test_ids]
             fold_seed = seed * 1_000_003 + lr_index * 1009 + fold.fold_index
-            params = _train_one_fold(
-                encoder, id_lists, targets, train_indices, lr, fold_seed,
+            trained = _train_one_fold(
+                config, params, vocab, texts, targets, train_indices, lr, fold_seed,
                 batch_size, classifier_lr, warmup_epochs, decay_epochs,
             )
 
             def evaluate(indices: list[int]) -> float:
                 predicted = _predict(
-                    encoder.config, params, encoder.vocab,
-                    [id_lists[i] for i in indices], batch_size,
+                    config, trained, vocab, [texts[i] for i in indices], batch_size
                 )
                 return _macro_f1_on(targets[indices], predicted)
 

@@ -40,7 +40,7 @@ UNIVERSAL_FEATURES = {
     "Tense", "Aspect", "Voice", "Evident", "Polarity", "Person", "Polite",
 }
 
-_NOT_ALIGNED = "<not aligned>"
+_NOT_ALIGNED = -1
 
 
 class ConlluEvalError(Exception):
@@ -57,15 +57,14 @@ class _Word:
     deprel: str
     span: tuple[int, int]
     is_multiword: bool
-    parent: "_Word | None" = None
+    #: Index of the parent in its side's word list; None for the root.
+    head: int | None = None
     functional_children: list["_Word"] = field(default_factory=list)
-    #: The gold word this word stands for: itself on the gold side, the
-    #: aligned gold word or _NOT_ALIGNED on the system side.
-    ref: "_Word | str" = _NOT_ALIGNED
-
-    @property
-    def head_ref(self) -> "_Word | str | None":
-        return None if self.parent is None else self.parent.ref
+    #: Index of the gold word this word stands for: its own on the gold
+    #: side, the aligned gold word's or _NOT_ALIGNED on the system side.
+    ref: int = _NOT_ALIGNED
+    #: The parent's ``ref``, or None for the root; set with the refs.
+    head_ref: int | None = None
 
     @property
     def is_content(self) -> bool:
@@ -170,12 +169,13 @@ def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
         fault = _tree_fault(heads)
         if fault is not None:
             raise ConlluEvalError(f"document {doc_id!r}, sentence {number}: {fault}")
-        for i, head in enumerate(heads):
+        # Integer heads: a child holding its parent would form a cycle with
+        # the parent's functional_children, and outlive the call.
+        for word, head in zip(sentence_words, heads):
             if head != 0:
-                sentence_words[i].parent = sentence_words[head - 1]
-        for word in sentence_words:
-            if word.parent is not None and word.is_functional:
-                word.parent.functional_children.append(word)
+                word.head = len(words) + head - 1
+                if word.is_functional:
+                    sentence_words[head - 1].functional_children.append(word)
         words.extend(sentence_words)
     return characters, words
 
@@ -215,7 +215,7 @@ def _lcs_pairs(gold: list[_Word], system: list[_Word]) -> list[tuple[_Word, _Wor
 
 
 def _align_words(gold: list[_Word], system: list[_Word]) -> list[tuple[_Word, _Word]]:
-    """Aligned (gold, system) pairs; sets every word's ``ref``."""
+    """Aligned (gold, system) pairs; sets every word's ``ref`` and ``head_ref``."""
     multiword_spans = _merge_spans(
         [w.span for w in gold + system if w.is_multiword]
     )
@@ -246,10 +246,14 @@ def _align_words(gold: list[_Word], system: list[_Word]) -> list[tuple[_Word, _W
             system_chunk.append(system[si])
             si += 1
         pairs.extend(_lcs_pairs(gold_chunk, system_chunk))
-    for word in gold:
-        word.ref = word
+    for index, word in enumerate(gold):
+        word.ref = index
     for gold_word, system_word in pairs:
-        system_word.ref = gold_word
+        system_word.ref = gold_word.ref
+    for words in (gold, system):
+        for word in words:
+            if word.head is not None:
+                word.head_ref = words[word.head].ref
     return pairs
 
 
@@ -316,7 +320,7 @@ def eval_conllu(gold: Corpus, system: Corpus) -> ConlluEvalReport:
         return _alignment_score(pairs, gold_words, system_words, key, keep)
 
     def lemma_key(word: _Word):
-        return word.lemma if word.ref.lemma != "_" else "_"
+        return word.lemma if gold_words[word.ref].lemma != "_" else "_"
 
     return ConlluEvalReport(
         upos=score(lambda w: w.upos),

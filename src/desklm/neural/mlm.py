@@ -1,5 +1,6 @@
-"""Masked-language-model training loop over packed samples, and the one
-training step that it, the task heads and the sentiment folds share.
+"""Masked-language-model training loop over packed samples, the one
+training step that it, the task heads and the sentiment folds share, and
+``encode_texts``, the one path from raw text to the transformer's layers.
 
 The MLM head scores only the masked rows: the output layer never sees the
 ~85% of positions whose target is ignored (as in RoBERTa's reference
@@ -12,7 +13,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from ..batching import IGNORE_INDEX, Sample, build_mlm_batch
-from ..bbpe import ByteVocab
+from ..bbpe import ByteVocab, encode
 from .layers import (
     TransformerConfig,
     forward_transformer,
@@ -144,3 +145,18 @@ def eval_masked_accuracy(
         correct += int((np.argmax(logits.data, axis=-1) == targets).sum())
         total += targets.size
     return correct / total if total else 0.0
+
+
+def encode_texts(
+    config: TransformerConfig, params: dict[str, Tensor], vocab: ByteVocab, texts: Sequence[str]
+) -> list[Tensor]:
+    """Every layer of the transformer over ``texts``, one row per text:
+    ``<s> ids </s>`` with the ids cut to ``max_positions - 2``, padded to
+    the longest row.  A caller that must build no graph passes
+    ``constants(params)``."""
+    specials = vocab.special_tokens
+    rows = [encode(vocab, text).ids[: config.max_positions - 2] for text in texts]
+    input_ids = np.full((len(rows), max(map(len, rows)) + 2), specials.pad, dtype=np.int64)
+    for i, ids in enumerate(rows):
+        input_ids[i, : len(ids) + 2] = (specials.bos, *ids, specials.eos)
+    return forward_transformer(config, params, input_ids, pad_mask=input_ids != specials.pad)

@@ -1,5 +1,6 @@
 """Tests for the CoNLL 2018 style evaluation."""
 
+import gc
 import sys
 import unicodedata
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from desklm.corpus import CorpusError, ingest_conllu
+from desklm.metrics import conllu_eval
 from desklm.metrics.conllu_eval import ConlluEvalError, _strip_spaces, eval_conllu
 
 
@@ -232,3 +234,17 @@ class TestDefinitionDetails:
         a = eval_conllu(_corpus(two_sentences), _corpus(two_sentences))
         b = eval_conllu(_corpus(reversed_order), _corpus(reversed_order))
         assert a.scores() == b.scores()
+
+
+def test_words_are_freed_when_eval_conllu_returns():
+    # A reference cycle among the words would keep every document's words
+    # alive until the cycle collector runs.
+    gold, system = _corpus(GOLD_SPLIT), _corpus(SYSTEM_MERGED)
+    gc.collect()
+    gc.disable()
+    try:
+        eval_conllu(gold, system)
+        left = sum(isinstance(o, conllu_eval._Word) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert left == 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from desklm.batching import IGNORE_INDEX, pack_full_sentences
-from desklm.bbpe import train_bbpe
+from desklm.bbpe import encode, train_bbpe
 from desklm.corpus import ingest_plaintext
 from desklm.neural import layers, mlm
 from desklm.neural.layers import TransformerConfig, init_transformer_params
@@ -177,7 +177,9 @@ def test_each_step_frees_its_graph_before_the_next_forward_pass(monkeypatch):
 
 def test_train_step_holds_the_only_backward_and_adam_step_calls():
     # One way to train: the MLM, head and sentiment loops all call
-    # train_step, so no loop can drift from the others' step order.
+    # train_step, so no loop can drift from the others' step order.  One
+    # way from text to layers: besides the two MLM loops, only
+    # encode_texts runs the transformer.
     calls = []
 
     class Calls(ast.NodeVisitor):
@@ -191,8 +193,8 @@ def test_train_step_holds_the_only_backward_and_adam_step_calls():
 
         def visit_Call(self, node):
             func = node.func
-            if isinstance(func, ast.Name) and func.id == "adam_step":
-                calls.append(("adam_step", self.path, self.scope[-1]))
+            if isinstance(func, ast.Name) and func.id in ("adam_step", "forward_transformer"):
+                calls.append((func.id, self.path, self.scope[-1]))
             if isinstance(func, ast.Attribute) and func.attr == "backward":
                 calls.append(("backward", self.path, self.scope[-1]))
             self.generic_visit(node)
@@ -203,6 +205,9 @@ def test_train_step_holds_the_only_backward_and_adam_step_calls():
     assert sorted(calls) == [
         ("adam_step", "neural/mlm.py", "train_step"),
         ("backward", "neural/mlm.py", "train_step"),
+        ("forward_transformer", "neural/mlm.py", "encode_texts"),
+        ("forward_transformer", "neural/mlm.py", "eval_masked_accuracy"),
+        ("forward_transformer", "neural/mlm.py", "train_mlm"),
     ]
 
 
@@ -290,6 +295,27 @@ def test_eval_masked_accuracy_builds_no_graph(monkeypatch):
     assert captured
     assert not any(t.requires_grad for t in captured)
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_encode_texts_frames_cuts_and_pads_each_text(monkeypatch):
+    vocab, _, config = _setup()
+    texts = ["Pes", " ".join(TEXT.split()), ""]
+    cap = config.max_positions - 2
+    assert len(encode(vocab, texts[1]).ids) > cap
+    seen = []
+    monkeypatch.setattr(
+        mlm, "forward_transformer",
+        lambda c, p, ids, pad_mask: seen.append((ids, pad_mask)) or ["layers"],
+    )
+    assert mlm.encode_texts(config, {}, vocab, texts) == ["layers"]
+    [(ids, pad_mask)] = seen
+    specials = vocab.special_tokens
+    assert ids.shape == (3, config.max_positions)
+    for text, row, mask in zip(texts, ids, pad_mask):
+        framed = [specials.bos, *encode(vocab, text).ids[:cap], specials.eos]
+        assert list(row[: len(framed)]) == framed
+        assert (row[len(framed) :] == specials.pad).all()
+        assert list(mask) == [i < len(framed) for i in range(config.max_positions)]
 
 
 def test_masked_row_loss_gradient_check():

@@ -450,6 +450,10 @@ class TestContextualFeatures:
         with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(2, 3\)"):
             self._featurize(["Pes", "štěká"], np.zeros((2, 3)))
 
+    def test_missing_features_for_a_contextual_model_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), but none were given"):
+            self._featurize(["Pes", "štěká"], None)
+
     def test_features_for_a_model_without_contextual_width_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(1, 0\), got \(1, 2\)"):
             self._featurize(["Pes"], np.zeros((1, 2)), contextual_dim=0)

@@ -9,15 +9,10 @@ import pytest
 from desklm.bbpe import train_bbpe
 from desklm.corpus import ingest_plaintext
 from desklm.heads import sentiment
-from desklm.heads.sentiment import (
-    SentimentEncoder,
-    SentimentError,
-    read_sentiment_tsv,
-    run_sentiment_protocol,
-)
-from desklm.neural import layers
+from desklm.heads.sentiment import SentimentError, read_sentiment_tsv, run_sentiment_protocol
+from desklm.neural import layers, mlm
 from desklm.neural.layers import TransformerConfig, init_transformer_params
-from desklm.neural.tensor import Tensor
+from desklm.neural.tensor import Tensor, constants
 
 import reference_ops
 
@@ -45,26 +40,25 @@ def _items():
     return read_sentiment_tsv("".join(f"{label}\t{text}\n" for label, text in TEXTS))
 
 
-def _encoder():
+def _model():
+    """(config, params, vocab) of a small untrained transformer."""
     corpus = ingest_plaintext("\n".join(text for _, text in TEXTS).encode("utf-8"))
     vocab = train_bbpe(corpus, vocab_cap=300)
     config = TransformerConfig(
         layers=1, hidden=8, heads=2, ff_dim=16, vocab_size=len(vocab), max_positions=32
     )
     params = init_transformer_params(config, seed=7, dtype=np.float64)
-    return SentimentEncoder(config=config, params=params, vocab=vocab)
+    return config, params, vocab
 
 
-def _train_fold(encoder=None, warmup_epochs=0.5, decay_epochs=0.5):
-    encoder = encoder or _encoder()
+def _train_fold(model=None, warmup_epochs=0.5, decay_epochs=0.5):
     items = _items()
-    id_lists = [encoder.item_ids(item.text) for item in items]
     targets = np.array(
         [sentiment.LABELS.index(item.label) for item in items], dtype=np.int64
     )
     return sentiment._train_one_fold(
-        encoder, id_lists, targets, list(range(10)), 1e-2, 11, 4, 5e-2,
-        warmup_epochs, decay_epochs,
+        *(model or _model()), [item.text for item in items], targets, list(range(10)),
+        1e-2, 11, 4, 5e-2, warmup_epochs, decay_epochs,
     )
 
 
@@ -115,7 +109,7 @@ class TestReader:
 
 class TestGoldenProtocol:
     def test_protocol_scores(self):
-        result = run_sentiment_protocol(_items(), _encoder(), **PROTOCOL)
+        result = run_sentiment_protocol(_items(), *_model(), **PROTOCOL)
         assert result.selected_lr == 1e-2
         assert result.dev_means == GOLDEN_DEV_MEANS
         folds = [(o.fold_index, o.dev_f1, o.test_f1) for o in result.fold_outcomes]
@@ -136,11 +130,11 @@ class TestGoldenProtocol:
 
     def test_frozen_epoch_trains_only_the_classifier(self):
         # warmup + decay < 1 leaves only the frozen first epoch.
-        encoder = _encoder()
-        params = _train_fold(encoder, warmup_epochs=0.25, decay_epochs=0.25)
+        model = _model()
+        params = _train_fold(model, warmup_epochs=0.25, decay_epochs=0.25)
         assert not [name for name in params if name.startswith("mlm.")]
         for name in params.keys() - {"cls.w", "cls.b"}:
-            assert np.array_equal(params[name].data, encoder.params[name].data), name
+            assert np.array_equal(params[name].data, model[1][name].data), name
         assert np.any(params["cls.w"].data != 0.0)
 
     def test_fused_ops_match_reference_ops(self, monkeypatch):
@@ -153,30 +147,25 @@ class TestGoldenProtocol:
 
 def test_frozen_encoder_and_predict_build_no_graph(monkeypatch):
     captured = []
-    forward = sentiment.forward_transformer
+    forward = mlm.forward_transformer
 
     def capturing(*args, **kwargs):
         outputs = forward(*args, **kwargs)
         captured.extend(outputs)
         return outputs
 
-    monkeypatch.setattr(sentiment, "forward_transformer", capturing)
-    encoder = _encoder()
-    id_lists = [encoder.item_ids(item.text) for item in _items()]
-    params = encoder.copy_params()
-    params["cls.w"] = Tensor(np.ones((encoder.config.hidden, 3)), requires_grad=True)
+    monkeypatch.setattr(mlm, "forward_transformer", capturing)
+    config, params, vocab = _model()
+    texts = [item.text for item in _items()]
+    params["cls.w"] = Tensor(np.ones((config.hidden, 3)), requires_grad=True)
     params["cls.b"] = Tensor(np.zeros(3), requires_grad=True)
-    frozen = sentiment._document_embeddings(
-        encoder.config, params, encoder.vocab, id_lists, frozen=True
-    )
-    predicted = sentiment._predict(encoder.config, params, encoder.vocab, id_lists, 4)
-    assert len(predicted) == len(id_lists)
+    frozen = sentiment._document_embeddings(config, constants(params), vocab, texts)
+    predicted = sentiment._predict(config, params, vocab, texts, 4)
+    assert len(predicted) == len(texts)
     assert captured
     assert not frozen.requires_grad
     assert not any(t.requires_grad for t in captured)
-    trained = sentiment._document_embeddings(
-        encoder.config, params, encoder.vocab, id_lists, frozen=False
-    )
+    trained = sentiment._document_embeddings(config, params, vocab, texts)
     assert trained.requires_grad
     assert np.array_equal(trained.data, frozen.data)
 
@@ -190,8 +179,8 @@ def test_each_fold_step_frees_its_graph_before_the_next_forward_pass(monkeypatch
         return embed(*args, **kwargs)
 
     monkeypatch.setattr(sentiment, "_document_embeddings", counting)
-    encoder = _encoder()
+    model = _model()
     gc.collect()
-    _train_fold(encoder)
+    _train_fold(model)
     # Three batches in each of two epochs, the first with a frozen encoder.
     assert live == [live[0]] * 6
