@@ -6,6 +6,10 @@ whitespace rule: a pre-token is an optional single leading space plus a
 run of non-whitespace; remaining whitespace runs stand alone.  Merges
 never cross pre-token boundaries.  No unicode normalization is applied.
 
+A vocabulary is its merge list (:class:`ByteVocab`): the specials and the
+256 bytes are fixed, and merge n makes id ``FIRST_MERGE_ID + n`` from two
+earlier ids, so every token's bytes follow from the merges.
+
 Training counts adjacent pairs over the distinct pre-tokens once and then
 updates them only at each merge site (Sennrich et al. 2016; SentencePiece):
 an index from each pair to the pre-tokens that may hold it limits every
@@ -22,13 +26,13 @@ import heapq
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 from .corpus import Corpus
 
 
 class BbpeError(Exception):
-    """Tokenizer training or format failure."""
+    """Tokenizer training failure or a malformed merge list."""
 
 
 class SpecialTokens(NamedTuple):
@@ -43,57 +47,47 @@ SPECIAL_TOKEN_BYTES = (b"<s>", b"</s>", b"<pad>", b"<mask>", b"<unk>")
 NUM_SPECIALS = len(SPECIAL_TOKEN_BYTES)
 FIRST_BYTE_ID = NUM_SPECIALS
 FIRST_MERGE_ID = NUM_SPECIALS + 256
+_BASE_TOKENS = SPECIAL_TOKEN_BYTES + tuple(bytes([b]) for b in range(256))
 
 _PRETOKEN_RE = re.compile(r" ?\S+|\s+(?!\S)|\s+")
 
 
 @dataclass(frozen=True)
 class ByteVocab:
-    """Learned merge table plus token inventory.
+    """A byte-level BPE vocabulary, which is its merge list.
 
-    Ids 0..4 are the special tokens, ids 5..260 the single bytes, higher
-    ids the merge results in training order.
+    Ids 0..4 are the special tokens and ids 5..260 the single bytes, both
+    fixed; merge n joins two earlier ids into id ``FIRST_MERGE_ID + n``.
+    ``tokens`` (each id's bytes) is derived from the merges.
     """
 
-    tokens: tuple[bytes, ...]
-    merges: tuple[tuple[int, int, int], ...]
-    special_tokens: SpecialTokens = SpecialTokens(0, 1, 2, 3, 4)
+    special_tokens: ClassVar[SpecialTokens] = SpecialTokens(0, 1, 2, 3, 4)
+
+    merges: tuple[tuple[int, int], ...]
+    tokens: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
     _pretoken_cache: dict = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
 
     def __post_init__(self):
-        expected = FIRST_MERGE_ID + len(self.merges)
-        if len(self.tokens) != expected:
-            amount = "too few" if len(self.tokens) < expected else "too many"
-            raise BbpeError(
-                f"{amount} tokens: {len(self.tokens)} for {len(self.merges)} merges,"
-                f" expected {expected}"
-            )
-        for i, raw in enumerate(SPECIAL_TOKEN_BYTES):
-            if self.tokens[i] != raw:
-                raise BbpeError(f"special token {i} must be {raw!r}")
-        for b in range(256):
-            if self.tokens[FIRST_BYTE_ID + b] != bytes([b]):
-                raise BbpeError(f"token {FIRST_BYTE_ID + b} must be byte {b:#04x}")
-        for n, (left, right, result) in enumerate(self.merges):
-            if result != FIRST_MERGE_ID + n:
-                raise BbpeError(f"merge {n} result id must be {FIRST_MERGE_ID + n}")
-            if max(left, right) >= result:
-                raise BbpeError(f"merge {n} uses a token created by a later merge")
-            if self.tokens[result] != self.tokens[left] + self.tokens[right]:
-                raise BbpeError(f"merge {n} output does not concatenate its operands")
+        tokens = list(_BASE_TOKENS)
+        for n, (left, right) in enumerate(self.merges):
+            for operand in (left, right):
+                if not 0 <= operand < FIRST_MERGE_ID + n:
+                    raise BbpeError(
+                        f"merge {n} operand {operand} is not a special, a byte or"
+                        f" an earlier merge (0..{FIRST_MERGE_ID + n - 1})"
+                    )
+            tokens.append(tokens[left] + tokens[right])
+        object.__setattr__(self, "tokens", tuple(tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     @functools.cached_property
-    def merge_ranks(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(left, right) -> (rank, result id)."""
-        return {
-            (left, right): (rank, result)
-            for rank, (left, right, result) in enumerate(self.merges)
-        }
+    def merge_ranks(self) -> dict[tuple[int, int], int]:
+        """(left, right) -> rank; merge ``rank`` makes id ``FIRST_MERGE_ID + rank``."""
+        return {pair: rank for rank, pair in enumerate(self.merges)}
 
 
 @dataclass(frozen=True)
@@ -149,9 +143,9 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
     if corpus.token_count == 0:
         raise BbpeError("cannot train on an empty corpus")
 
-    tokens: list[bytes] = list(SPECIAL_TOKEN_BYTES) + [bytes([b]) for b in range(256)]
+    tokens: list[bytes] = list(_BASE_TOKENS)
     creation_epoch: list[int] = [0] * len(tokens)
-    merges: list[tuple[int, int, int]] = []
+    merges: list[tuple[int, int]] = []
 
     counted = _corpus_pretoken_counts(corpus)
     words = [[FIRST_BYTE_ID + b for b in pretoken.encode("utf-8")] for pretoken in counted]
@@ -183,7 +177,7 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
             break
         new_id = len(tokens)
         tokens.append(tokens[best[0]] + tokens[best[1]])
-        merges.append((best[0], best[1], new_id))
+        merges.append(best)
         creation_epoch.append(len(merges))
 
         a, b = best
@@ -220,9 +214,7 @@ def train_bbpe(corpus: Corpus, vocab_cap: int = 52000) -> ByteVocab:
                 pair_counts.pop(pair, None)
                 pair_words.pop(pair, None)
 
-    return ByteVocab(
-        tokens=tuple(tokens), merges=tuple(merges), _pretoken_cache=dict(zip(counted, words))
-    )
+    return ByteVocab(merges=tuple(merges), _pretoken_cache=dict(zip(counted, words)))
 
 
 def _apply_merge_inplace(word: list[int], pair: tuple[int, int], new_id: int) -> None:
@@ -246,8 +238,8 @@ def _encode_pretoken(vocab: ByteVocab, pretoken: str) -> list[int]:
         hits = [ranks[pair] for pair in zip(ids, ids[1:]) if pair in ranks]
         if not hits:
             break
-        rank, new_id = min(hits)
-        _apply_merge_inplace(ids, vocab.merges[rank][:2], new_id)
+        rank = min(hits)
+        _apply_merge_inplace(ids, vocab.merges[rank], FIRST_MERGE_ID + rank)
     vocab._pretoken_cache[pretoken] = ids
     return ids
 
@@ -274,56 +266,3 @@ def decode(vocab: ByteVocab, ids: Iterable[int]) -> str:
             raise BbpeError(f"token id {token_id} out of range")
         parts.append(vocab.tokens[token_id])
     return b"".join(parts).decode("utf-8", errors="replace")
-
-
-def save_vocab(vocab: ByteVocab) -> tuple[str, str]:
-    """Serialize to (vocabulary file, merge file) text streams.
-
-    Vocabulary lines are ``id<TAB>hex bytes``; merge lines are
-    ``left-id<TAB>right-id<TAB>result-id`` in training order.
-    """
-    vocab_lines = [f"{i}\t{raw.hex()}" for i, raw in enumerate(vocab.tokens)]
-    merge_lines = [f"{l}\t{r}\t{res}" for l, r, res in vocab.merges]
-    return "\n".join(vocab_lines) + "\n", "".join(f"{line}\n" for line in merge_lines)
-
-
-def load_vocab(vocab_stream: str | IO[str], merge_stream: str | IO[str]) -> ByteVocab:
-    """Inverse of :func:`save_vocab`; validates merge consistency."""
-    vocab_text = vocab_stream if isinstance(vocab_stream, str) else vocab_stream.read()
-    merge_text = merge_stream if isinstance(merge_stream, str) else merge_stream.read()
-
-    tokens: list[bytes] = []
-    for number, line in enumerate(vocab_text.splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise BbpeError(f"vocab line {number}: expected 2 columns")
-        try:
-            token_id, raw = int(parts[0]), bytes.fromhex(parts[1])
-        except ValueError as exc:
-            raise BbpeError(f"vocab line {number}: {exc}") from None
-        if token_id != len(tokens):
-            raise BbpeError(f"vocab line {number}: ids must be sequential")
-        tokens.append(raw)
-
-    merges: list[tuple[int, int, int]] = []
-    for number, line in enumerate(merge_text.splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise BbpeError(f"merge line {number}: expected 3 columns")
-        try:
-            left, right, result = (int(p) for p in parts)
-        except ValueError:
-            raise BbpeError(f"merge line {number}: non-integer id") from None
-        for ref in (left, right, result):
-            if not 0 <= ref < len(tokens):
-                raise BbpeError(f"merge line {number}: unknown token reference {ref}")
-        merges.append((left, right, result))
-
-    try:
-        return ByteVocab(tokens=tuple(tokens), merges=tuple(merges))
-    except BbpeError as exc:
-        raise BbpeError(f"inconsistent vocabulary/merge files: {exc}") from None

@@ -106,9 +106,10 @@ def load_config(
 
     An override section is merged into the file's section key by key;
     any other override replaces the file's key, and a ``None`` override
-    leaves it as it is.  ``corpus`` and every path named in ``require``
-    must exist.  A section whose constructor rejects it keeps its default,
-    so the checks after it still run."""
+    leaves it as it is.  An empty section keeps its defaults; any other
+    section that is not a mapping is a violation.  ``corpus`` and every
+    path named in ``require`` must exist.  A section whose constructor
+    rejects it keeps its default, so the checks after it still run."""
     data = _read(path)
     for key, value in (overrides or {}).items():
         if isinstance(value, dict) and isinstance(data.get(key), dict):
@@ -129,7 +130,8 @@ def load_config(
             kwargs[key] = value
             user_set.add(key)
             continue
-        value = value or {}
+        if value is None:
+            value = {}
         if not isinstance(value, dict):
             violations.append(f"{key} must be a mapping, got {type(value).__name__}")
             continue

@@ -45,8 +45,10 @@ def train_step(
 
 
 def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:
-    """Length of the longest sample; one longer than the model's positions
-    is an error that names it."""
+    """Length of the longest sample; no samples, or one longer than the
+    model's positions, is an error that names it."""
+    if not samples:
+        raise ValueError("no samples")
     for index, sample in enumerate(samples):
         if len(sample.ids) > model_config.max_positions:
             raise ValueError(
@@ -87,8 +89,6 @@ def train_mlm(
     Batches are drawn with replacement from ``samples`` and re-masked each
     step (dynamic masking); all randomness derives from ``seed``.
     """
-    if not samples:
-        raise ValueError("no samples to train on")
     max_len = _longest(model_config, samples)
     if params is None:
         params = init_transformer_params(model_config, seed=seed, dtype=dtype)
@@ -154,6 +154,8 @@ def encode_texts(
     ``<s> ids </s>`` with the ids cut to ``max_positions - 2``, padded to
     the longest row.  A caller that must build no graph passes
     ``constants(params)``."""
+    if not texts:
+        raise ValueError("no texts to encode")
     specials = vocab.special_tokens
     rows = [encode(vocab, text).ids[: config.max_positions - 2] for text in texts]
     input_ids = np.full((len(rows), max(map(len, rows)) + 2), specials.pad, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Tests for byte-level BPE training, encoding and persistence."""
+"""Tests for byte-level BPE training and encoding."""
 
 import hashlib
 import random
@@ -21,8 +21,6 @@ from desklm.bbpe import (
     _encode_pretoken,
     decode,
     encode,
-    load_vocab,
-    save_vocab,
     train_bbpe,
 )
 from desklm.corpus import Corpus, Document, Sentence, Token, ingest_plaintext
@@ -36,7 +34,14 @@ def _byte_id(ch: str) -> int:
 
 
 def _vocab_digest(vocab) -> str:
-    return hashlib.sha256("\0".join(save_vocab(vocab)).encode("utf-8")).hexdigest()
+    """SHA-256 of ``id<TAB>hex`` per token, then ``left<TAB>right<TAB>result``
+    per merge, the two parts joined by NUL: the record the golden merge
+    tables were taken from."""
+    tokens = "".join(f"{i}\t{raw.hex()}\n" for i, raw in enumerate(vocab.tokens))
+    merges = "".join(
+        f"{left}\t{right}\t{FIRST_MERGE_ID + n}\n" for n, (left, right) in enumerate(vocab.merges)
+    )
+    return hashlib.sha256(f"{tokens}\0{merges}".encode("utf-8")).hexdigest()
 
 
 def _random_corpus(seed: int) -> Corpus:
@@ -70,7 +75,7 @@ def _reference_merges(corpus: Corpus, vocab_cap: int) -> tuple:
             (pair for pair, count in pair_counts.items() if count == best_count),
             key=lambda p: (max(epoch[p[0]], epoch[p[1]]), tokens[p[0]], tokens[p[1]]),
         )
-        merges.append((*best, len(tokens)))
+        merges.append(best)
         tokens.append(tokens[best[0]] + tokens[best[1]])
         epoch.append(len(merges))
         for word in words:
@@ -119,10 +124,7 @@ class TestTraining:
         # Pre-tokens "abab" and " abab": pair (a,b) occurs 4 times, then
         # (ab,ab) twice, then no pair reaches frequency 2.
         a, b = _byte_id("a"), _byte_id("b")
-        assert abab_vocab.merges == (
-            (a, b, FIRST_MERGE_ID),
-            (FIRST_MERGE_ID, FIRST_MERGE_ID, FIRST_MERGE_ID + 1),
-        )
+        assert abab_vocab.merges == ((a, b), (FIRST_MERGE_ID, FIRST_MERGE_ID))
         assert abab_vocab.tokens[FIRST_MERGE_ID] == b"ab"
         assert abab_vocab.tokens[FIRST_MERGE_ID + 1] == b"abab"
 
@@ -152,9 +154,9 @@ class TestTraining:
         assert len(czech_vocab) <= 300
 
     def test_merge_replay_reconstructs_inventory(self, czech_vocab):
-        for left, right, result in czech_vocab.merges:
+        for n, (left, right) in enumerate(czech_vocab.merges):
             assert (
-                czech_vocab.tokens[result]
+                czech_vocab.tokens[FIRST_MERGE_ID + n]
                 == czech_vocab.tokens[left] + czech_vocab.tokens[right]
             )
 
@@ -195,9 +197,7 @@ class TestReferenceEquivalence:
     def test_cascade_merges_the_whole_pretoken(self):
         corpus = ingest_plaintext("\n".join(self.WORST_CASE["cascade"]).encode("utf-8"))
         vocab = train_bbpe(corpus, vocab_cap=52000)
-        assert [vocab.tokens[result] for *_, result in vocab.merges] == [
-            b"ab" * 2 ** k for k in range(7)
-        ]
+        assert vocab.tokens[FIRST_MERGE_ID:] == tuple(b"ab" * 2 ** k for k in range(7))
         assert vocab._pretoken_cache == {"ab" * 64: [FIRST_MERGE_ID + 6]}
 
     def test_whitespace_corpus_has_whitespace_only_pretokens(self):
@@ -215,7 +215,7 @@ class TestSeededCache:
         else:
             corpus = _random_corpus(0)
         vocab = train_bbpe(corpus, vocab_cap=cap)
-        cold = ByteVocab(vocab.tokens, vocab.merges)
+        cold = ByteVocab(vocab.merges)
         assert cold._pretoken_cache == {}
         assert vocab._pretoken_cache.keys() == _corpus_pretoken_counts(corpus).keys()
         for pretoken, ids in vocab._pretoken_cache.items():
@@ -279,47 +279,28 @@ class TestEncodeDecode:
             assert n_large <= n_small
 
 
-class TestPersistence:
-    def test_save_load_save_is_byte_identical(self, czech_vocab):
-        vocab_text, merge_text = save_vocab(czech_vocab)
-        loaded = load_vocab(vocab_text, merge_text)
-        assert save_vocab(loaded) == (vocab_text, merge_text)
+class TestConstructor:
+    """A vocabulary is built from its merge list alone."""
 
-    def test_unknown_token_reference_is_format_error(self, abab_vocab):
-        vocab_text, _ = save_vocab(abab_vocab)
-        bad_merges = f"{10 ** 6}\t0\t{FIRST_MERGE_ID}\n"
-        with pytest.raises(BbpeError, match="unknown token reference"):
-            load_vocab(vocab_text, bad_merges)
+    def test_operand_below_zero_is_rejected(self):
+        with pytest.raises(BbpeError, match=r"merge 0 operand -1 .* \(0\.\.260\)"):
+            ByteVocab(((-1, _byte_id("a")),))
 
-    def test_truncated_vocab_file_is_format_error(self):
-        with pytest.raises(BbpeError, match="too few tokens"):
-            load_vocab("0\t3c733e\n", "")
-
-    def test_token_without_a_merge_is_rejected(self, abab_vocab):
-        base = abab_vocab.tokens[:FIRST_MERGE_ID]
-        with pytest.raises(BbpeError, match="too many tokens"):
-            ByteVocab(tokens=base + (b"zz",), merges=())
-        vocab_text, _ = save_vocab(ByteVocab(tokens=base, merges=()))
-        with pytest.raises(BbpeError, match="too many tokens"):
-            load_vocab(vocab_text + f"{FIRST_MERGE_ID}\t{b'zz'.hex()}\n", "")
-
-    def test_merge_using_a_later_token_is_rejected(self, abab_vocab):
-        base = abab_vocab.tokens[:FIRST_MERGE_ID]
+    def test_merge_using_a_later_token_is_rejected(self):
         a, b, c = (_byte_id(ch) for ch in "abc")
-        with pytest.raises(BbpeError, match="created by a later merge"):
-            ByteVocab(
-                tokens=base + (b"abc", b"ab"),
-                merges=((FIRST_MERGE_ID + 1, c, FIRST_MERGE_ID), (a, b, FIRST_MERGE_ID + 1)),
-            )
+        with pytest.raises(BbpeError, match=rf"merge 0 operand {FIRST_MERGE_ID + 1} "):
+            ByteVocab(((FIRST_MERGE_ID + 1, c), (a, b)))
 
-    def test_loaded_vocab_encodes_identically(self, czech_vocab):
-        loaded = load_vocab(*save_vocab(czech_vocab))
+    def test_vocab_rebuilt_from_its_merges_equals_the_trained_one(self, czech_vocab):
+        rebuilt = ByteVocab(czech_vocab.merges)
+        assert rebuilt == czech_vocab
+        assert rebuilt.tokens == czech_vocab.tokens
         held_out = "ďábelské ódy zněly po louce"
-        assert encode(loaded, held_out) == encode(czech_vocab, held_out)
+        assert encode(rebuilt, held_out) == encode(czech_vocab, held_out)
 
 
 class TestGoldenMergeTables:
-    """SHA-256 of ``save_vocab`` output, recorded with the full-recount trainer."""
+    """``_vocab_digest`` of each table, recorded with the full-recount trainer."""
 
     TINY = {
         261: (0, "a86e0302ea391f3a1468009430bf87e758f493069b74445e19281fc217c0c4b9"),

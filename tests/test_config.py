@@ -73,6 +73,19 @@ class TestSections:
             _load(tmp_path, f"corpus: {corpus}\nmodel: 64\n")
         assert error.value.violations == ["model must be a mapping, got int"]
 
+    @pytest.mark.parametrize(
+        "section, kind", [("[]", "list"), ("0", "int"), ("false", "bool"), ('""', "str")]
+    )
+    def test_a_falsy_section_is_a_violation_too(self, tmp_path, corpus, section, kind):
+        with pytest.raises(ConfigError) as error:
+            _load(tmp_path, f"corpus: {corpus}\nmodel: {section}\n")
+        assert error.value.violations == [f"model must be a mapping, got {kind}"]
+
+    def test_an_empty_section_keeps_the_defaults(self, tmp_path, corpus):
+        config, user_set = _load(tmp_path, f"corpus: {corpus}\nmodel:\n")
+        assert config.model == load_config(overrides={"corpus": corpus})[0].model
+        assert user_set == {"corpus"}
+
 
 class TestResolvedDocument:
     def test_provenance_marks_user_recipe_and_implementation(self, tmp_path, corpus):

@@ -280,6 +280,24 @@ def test_sample_longer_than_max_positions_rejected_before_any_step(monkeypatch, 
             eval_masked_accuracy(config, {}, samples, vocab)
 
 
+@pytest.mark.parametrize("run", ["train", "eval"])
+def test_no_samples_is_an_error_that_says_so(monkeypatch, run):
+    vocab, _, config = _setup()
+    monkeypatch.setattr(mlm, "forward_transformer", None)
+    with pytest.raises(ValueError, match="^no samples$"):
+        if run == "train":
+            train_mlm([], vocab, config, SCHEDULE, STEPS)
+        else:
+            eval_masked_accuracy(config, {}, [], vocab)
+
+
+def test_encode_texts_of_no_texts_is_an_error_that_says_so(monkeypatch):
+    vocab, _, config = _setup()
+    monkeypatch.setattr(mlm, "forward_transformer", None)
+    with pytest.raises(ValueError, match="^no texts to encode$"):
+        mlm.encode_texts(config, {}, vocab, [])
+
+
 def test_eval_masked_accuracy_builds_no_graph(monkeypatch):
     captured = []
 
