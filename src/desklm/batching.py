@@ -29,7 +29,6 @@ class Sample:
     """One packed training sample: ``<s> ids... </s>`` of length <= max_len."""
 
     ids: tuple[int, ...]
-    doc_boundary_positions: tuple[int, ...] = ()
     truncated: bool = False
 
 
@@ -50,9 +49,9 @@ def pack_full_sentences(
 ) -> list[Sample]:
     """Pack encoded sentences into samples of at most ``max_len`` ids.
 
-    Document boundaries never close a sample; their positions (index of
-    the first id of the new document) are recorded instead.  A single
-    sentence longer than ``max_len - 2`` is truncated and flagged.
+    Sentences run on across document boundaries: only the length cap
+    closes a sample.  A single sentence longer than ``max_len - 2`` is
+    truncated and flagged.
     """
     if max_len < 8:
         raise ValueError("max_len must be >= 8")
@@ -61,31 +60,21 @@ def pack_full_sentences(
 
     samples: list[Sample] = []
     content: list[int] = []
-    boundaries: list[int] = []
 
     def close():
-        nonlocal content, boundaries
         if content:
-            samples.append(
-                Sample(ids=(bos, *content, eos), doc_boundary_positions=tuple(boundaries))
-            )
-        content, boundaries = [], []
+            samples.append(Sample(ids=(bos, *content, eos)))
+            content.clear()
 
-    for doc_index, doc in enumerate(corpus.documents):
-        at_doc_start = doc_index > 0
-        for sentence in doc.sentences:
-            ids = encode(vocab, sentence.text).ids
-            if len(ids) > budget:
-                close()
-                samples.append(Sample(ids=(bos, *ids[:budget], eos), truncated=True))
-                at_doc_start = False
-                continue
-            if len(content) + len(ids) > budget:
-                close()
-            if at_doc_start and content:
-                boundaries.append(1 + len(content))
-            content.extend(ids)
-            at_doc_start = False
+    for sentence in corpus.sentences():
+        ids = encode(vocab, sentence.text).ids
+        if len(ids) > budget:
+            close()
+            samples.append(Sample(ids=(bos, *ids[:budget], eos), truncated=True))
+            continue
+        if len(content) + len(ids) > budget:
+            close()
+        content.extend(ids)
     close()
     return samples
 

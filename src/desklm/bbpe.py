@@ -57,7 +57,8 @@ class ByteVocab:
     """A byte-level BPE vocabulary, which is its merge list.
 
     Ids 0..4 are the special tokens and ids 5..260 the single bytes, both
-    fixed; merge n joins two earlier ids into id ``FIRST_MERGE_ID + n``.
+    fixed; merge n joins two earlier ids into id ``FIRST_MERGE_ID + n``,
+    and no pair is merged twice.
     ``tokens`` (each id's bytes) is derived from the merges.
     """
 
@@ -71,6 +72,7 @@ class ByteVocab:
 
     def __post_init__(self):
         tokens = list(_BASE_TOKENS)
+        first: dict[tuple[int, int], int] = {}
         for n, (left, right) in enumerate(self.merges):
             for operand in (left, right):
                 if not 0 <= operand < FIRST_MERGE_ID + n:
@@ -78,6 +80,10 @@ class ByteVocab:
                         f"merge {n} operand {operand} is not a special, a byte or"
                         f" an earlier merge (0..{FIRST_MERGE_ID + n - 1})"
                     )
+            if first.setdefault((left, right), n) != n:
+                raise BbpeError(
+                    f"merge {n} repeats merge {first[left, right]}'s pair ({left}, {right})"
+                )
             tokens.append(tokens[left] + tokens[right])
         object.__setattr__(self, "tokens", tuple(tokens))
 

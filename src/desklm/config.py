@@ -78,8 +78,6 @@ PROVENANCE = {
     "schedule.peak_lr": "recipe",
     "schedule.warmup_steps": "recipe",
     "schedule.total_steps": "recipe",
-    "schedule.warmup_epochs": "recipe",
-    "schedule.decay_epochs": "recipe",
     "pretrain.beta1": "recipe",
     "pretrain.beta2": "recipe",
     "pretrain.mask_prob": "recipe",

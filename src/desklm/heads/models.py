@@ -58,7 +58,6 @@ from .ner import (
     parse_stack,
     render_stack,
     spans_to_bio,
-    validate_bio,
 )
 from .parser import biaffine_scores, decode_tree, init_biaffine_params
 
@@ -371,7 +370,6 @@ class CrfNerHead:
 
     def loss(self, params: dict[str, Tensor], states: Tensor, sentence: Sentence) -> tuple:
         tags = spans_to_bio(sentence.entity_spans, len(sentence.tokens))
-        validate_bio(tags)
         return (
             crf_loss(
                 _linear(states, params, "emit"),

@@ -88,21 +88,6 @@ def bio_label_set(entity_types: Sequence[str]) -> list[str]:
     return labels
 
 
-def validate_bio(tags: Sequence[str]) -> None:
-    """Raise on I-X following anything but B-X or I-X."""
-    previous = "O"
-    for position, tag in enumerate(tags):
-        if tag != "O" and not (tag.startswith("B-") or tag.startswith("I-")):
-            raise ValueError(f"position {position}: malformed BIO tag {tag!r}")
-        if tag.startswith("I-"):
-            entity = tag[2:]
-            if previous not in (f"B-{entity}", f"I-{entity}"):
-                raise ValueError(
-                    f"position {position}: {tag} cannot follow {previous}"
-                )
-        previous = tag
-
-
 def bio_constraint_penalties(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(transition, start) additive penalties enforcing BIO validity."""
     count = len(labels)

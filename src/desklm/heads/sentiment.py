@@ -151,10 +151,10 @@ def _train_one_fold(
     state = AdamState()
     rng = np.random.Generator(np.random.PCG64(seed))
     schedule = ScheduleConfig(
-        "cosine_warmup_decay", peak_lr, warmup_epochs=warmup_epochs, decay_epochs=decay_epochs
+        "cosine_warmup_decay", peak_lr, warmup_epochs, warmup_epochs + decay_epochs
     )
     steps_per_epoch = max(1, math.ceil(len(train_indices) / batch_size))
-    total_epochs = int(warmup_epochs + decay_epochs) + 1
+    total_epochs = int(schedule.total_steps) + 1
     # Views of the same arrays: they see every in-place Adam update.
     frozen = constants(params)
 

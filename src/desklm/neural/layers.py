@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..batching import IGNORE_INDEX
+from ..bbpe import ByteVocab
 from .tensor import Tensor, _unbroadcast, concat, log_softmax, softmax
 
 
@@ -121,7 +122,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(normed * gain.data + bias.data, parents=(x, gain, bias), backward=backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
     """Scaled dot-product attention over (B, heads, S, head_dim) inputs,
     ``softmax(q k^T / sqrt(head_dim) + bias) v``; one graph node.
 
@@ -137,8 +138,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     # The unfused graph's arithmetic in its order, so results match it bit for bit.
     y = q.data @ k.data.transpose(0, 1, 3, 2)
     y *= scale
-    if bias is not None:
-        y += bias
+    y += bias
     y -= np.max(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
@@ -164,20 +164,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
 
 
 def forward_transformer(
-    config: TransformerConfig,
-    params: dict[str, Tensor],
-    input_ids: np.ndarray,
-    pad_mask: np.ndarray | None = None,
+    config: TransformerConfig, params: dict[str, Tensor], input_ids: np.ndarray
 ) -> list[Tensor]:
-    """Run the pre-norm encoder stack; returns all layer outputs
-    (embeddings first, so ``layers + 1`` tensors of shape (B, S, hidden)).
+    """Run the pre-norm encoder stack over a (B, S) id matrix; returns all
+    layer outputs (embeddings first, so ``layers + 1`` tensors of shape
+    (B, S, hidden)).
 
-    ``pad_mask`` marks real positions with True; padded keys are excluded
-    from attention.
+    Keys that hold the pad id (``ByteVocab.special_tokens.pad``) are
+    excluded from attention.
     """
     ids = np.asarray(input_ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
+    if ids.ndim != 2:
+        raise ValueError(f"input ids must be a (batch, seq) matrix, got shape {ids.shape}")
     batch, seq = ids.shape
     if seq > config.max_positions:
         raise ValueError(f"sequence length {seq} exceeds max positions {config.max_positions}")
@@ -187,10 +185,8 @@ def forward_transformer(
     x = params["tok_emb"][ids] + params["pos_emb"][:seq]
     outputs = [x]
 
-    bias = None
-    if pad_mask is not None:
-        mask = np.asarray(pad_mask, dtype=bool).reshape(batch, seq)
-        bias = np.where(mask, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :]
+    pad = ByteVocab.special_tokens.pad
+    bias = np.where(ids != pad, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :]
 
     nh, dh = config.heads, config.head_dim
     for i in range(config.layers):
@@ -214,7 +210,7 @@ def forward_transformer(
     return outputs
 
 
-def mlm_logits(config: TransformerConfig, params: dict[str, Tensor], hidden: Tensor) -> Tensor:
+def mlm_logits(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
     normed = layer_norm(hidden, params["mlm.ln.gain"], params["mlm.ln.bias"])
     return normed @ params["mlm.w"] + params["mlm.b"]
 

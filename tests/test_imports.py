@@ -1,6 +1,8 @@
 """Every desklm module imports cleanly on its own, in a fresh module table,
-and every installed script names a function that exists."""
+no desklm module imports the benchmark, and every installed script names
+a function that exists."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -49,3 +51,22 @@ def test_every_script_entry_point_imports():
     for name, target in scripts.items():
         module, _, function = target.partition(":")
         assert callable(getattr(importlib.import_module(module), function)), name
+
+
+def test_no_module_imports_the_benchmark():
+    # The benchmark measures the library; the library must not depend on it.
+    offending = []
+    root = Path(desklm.__file__).resolve().parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offending += [
+                f"{path.relative_to(root)}:{node.lineno}" for name in names
+                if name.split(".")[0] == "perfbench"
+            ]
+    assert offending == []

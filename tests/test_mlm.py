@@ -322,31 +322,30 @@ def test_encode_texts_frames_cuts_and_pads_each_text(monkeypatch):
     assert len(encode(vocab, texts[1]).ids) > cap
     seen = []
     monkeypatch.setattr(
-        mlm, "forward_transformer",
-        lambda c, p, ids, pad_mask: seen.append((ids, pad_mask)) or ["layers"],
+        mlm, "forward_transformer", lambda c, p, ids: seen.append(ids) or ["layers"]
     )
     assert mlm.encode_texts(config, {}, vocab, texts) == ["layers"]
-    [(ids, pad_mask)] = seen
+    [ids] = seen
     specials = vocab.special_tokens
     assert ids.shape == (3, config.max_positions)
-    for text, row, mask in zip(texts, ids, pad_mask):
+    for text, row in zip(texts, ids):
         framed = [specials.bos, *encode(vocab, text).ids[:cap], specials.eos]
         assert list(row[: len(framed)]) == framed
-        assert (row[len(framed) :] == specials.pad).all()
-        assert list(mask) == [i < len(framed) for i in range(config.max_positions)]
+        # Only the padding holds the pad id, so only it is masked.
+        assert list(row == specials.pad) == [i >= len(framed) for i in range(len(row))]
 
 
 def test_masked_row_loss_gradient_check():
-    _, _, config = _setup()
+    vocab, _, config = _setup()
     params = init_transformer_params(config, seed=3, dtype=np.float64)
     # Row 1 pads its last position.
-    ids = np.array([[1, 5, 7, 9, 4], [2, 4, 6, 8, 0]])
+    ids = np.array([[1, 5, 7, 9, 4], [0, 4, 6, 8, vocab.special_tokens.pad]])
     ignored = IGNORE_INDEX
     targets = np.array([[5, ignored, 9, ignored, 2], [ignored, 6, 1, ignored, ignored]])
 
     def loss_fn():
-        hidden = layers.forward_transformer(config, params, ids, pad_mask=ids != 0)
-        return layers.mlm_loss(*mlm._masked_logits(config, params, hidden, targets))
+        hidden = layers.forward_transformer(config, params, ids)
+        return layers.mlm_loss(*mlm._masked_logits(params, hidden, targets))
 
     checked = {name: params[name] for name in ("tok_emb", "mlm.w", "layer0.attn.wk")}
     report = gradient_check(loss_fn, checked, tolerance=1e-6)
@@ -361,7 +360,7 @@ def test_eval_masked_accuracy_predicts_what_the_full_rows_predict(monkeypatch):
 
     def recording(*args):
         logits, targets = masked_logits(*args)
-        calls.append((args[2][-1], args[3], logits.data, targets))
+        calls.append((args[1][-1], args[2], logits.data, targets))
         return logits, targets
 
     monkeypatch.setattr(mlm, "_masked_logits", recording)
@@ -372,7 +371,7 @@ def test_eval_masked_accuracy_predicts_what_the_full_rows_predict(monkeypatch):
     correct = total = 0
     for last, target_ids, logits, targets in calls:
         targeted = target_ids != IGNORE_INDEX
-        full = layers.mlm_logits(config, constants(params), last).data
+        full = layers.mlm_logits(constants(params), last).data
         assert np.array_equal(targets, target_ids[targeted])
         assert np.array_equal(np.argmax(logits, axis=-1), np.argmax(full[targeted], axis=-1))
         correct += int((np.argmax(full[targeted], axis=-1) == targets).sum())

@@ -21,7 +21,6 @@ from desklm.heads.ner import (
     parse_stack,
     render_stack,
     spans_to_bio,
-    validate_bio,
 )
 from desklm.neural.tensor import Tensor
 
@@ -148,15 +147,6 @@ class TestCrf:
 
 
 class TestBio:
-    def test_validate_accepts_legal_sequences(self):
-        validate_bio(["O", "B-PER", "I-PER", "O", "B-LOC"])
-
-    def test_validate_rejects_orphan_inside(self):
-        with pytest.raises(ValueError):
-            validate_bio(["O", "I-PER"])
-        with pytest.raises(ValueError):
-            validate_bio(["B-LOC", "I-PER"])
-
     def test_constraints_forbid_invalid_transitions(self):
         labels = bio_label_set(["PER", "LOC"])
         transition, start = bio_constraint_penalties(labels)

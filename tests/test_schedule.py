@@ -36,38 +36,39 @@ class TestPolynomialDecay:
         assert abs(left - right) < 1e-12
 
     def test_warmup_beyond_total_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(
-                kind="polynomial_decay", peak_lr=1.0, warmup_steps=10, total_steps=5
-            )
+        for kind in ("polynomial_decay", "cosine_warmup_decay"):
+            with pytest.raises(ValueError, match="^warmup_steps must not exceed total_steps$"):
+                ScheduleConfig(kind=kind, peak_lr=1.0, warmup_steps=10, total_steps=5)
 
 
 class TestCosineWarmupDecay:
+    """The sentiment protocol's shape: 4 warmup and 10 decay epochs."""
+
     def test_pinned_epoch_values(self):
-        config = ScheduleConfig("cosine_warmup_decay", peak_lr=3e-5)
+        config = ScheduleConfig("cosine_warmup_decay", 3e-5, 4.0, 14.0)
         assert schedule_lr(config, 0.0) == 0.0
         assert schedule_lr(config, 4.0) == pytest.approx(3e-5, rel=1e-12)
         assert schedule_lr(config, 14.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_halfway_points(self):
-        config = ScheduleConfig("cosine_warmup_decay", peak_lr=1.0)
+        config = ScheduleConfig("cosine_warmup_decay", 1.0, 4.0, 14.0)
         assert schedule_lr(config, 2.0) == pytest.approx(0.5, rel=1e-12)
         assert schedule_lr(config, 9.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_continuity_at_peak(self):
-        config = ScheduleConfig("cosine_warmup_decay", peak_lr=2e-5)
+        config = ScheduleConfig("cosine_warmup_decay", 2e-5, 4.0, 14.0)
         left = schedule_lr(config, 4.0 - 1e-9)
         right = schedule_lr(config, 4.0 + 1e-9)
         assert abs(left - right) < 1e-12
 
     def test_zero_after_decay(self):
-        assert schedule_lr(ScheduleConfig("cosine_warmup_decay", peak_lr=1.0), 15.0) == 0.0
+        assert schedule_lr(ScheduleConfig("cosine_warmup_decay", 1.0, 4.0, 14.0), 15.0) == 0.0
 
 
 class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(kind="linear", peak_lr=1.0)
+            ScheduleConfig(kind="linear", peak_lr=1.0, warmup_steps=0, total_steps=1)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
@@ -75,23 +76,22 @@ class TestValidation:
 
     def test_nonpositive_peak_rejected(self):
         with pytest.raises(ValueError, match="peak_lr"):
-            ScheduleConfig(kind="cosine_warmup_decay", peak_lr=0.0)
+            ScheduleConfig("cosine_warmup_decay", 0.0, 4.0, 14.0)
 
-    @pytest.mark.parametrize("key", ["warmup_steps", "total_steps", "warmup_epochs",
-                                     "decay_epochs"])
+    @pytest.mark.parametrize("key", ["warmup_steps", "total_steps"])
     def test_negative_length_rejected_by_name(self, key):
+        lengths = {"warmup_steps": 0, "total_steps": 0, key: -1}
         with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
-            ScheduleConfig("cosine_warmup_decay", peak_lr=1.0, **{key: -1})
+            ScheduleConfig("cosine_warmup_decay", peak_lr=1.0, **lengths)
 
 
 class TestZeroLengthPhases:
     def test_cosine_without_warmup_starts_at_peak(self):
-        config = ScheduleConfig("cosine_warmup_decay", 1e-3, warmup_epochs=0.0)
+        config = ScheduleConfig("cosine_warmup_decay", 1e-3, 0.0, 10.0)
         assert schedule_lr(config, 0) == 1e-3
         assert schedule_lr(config, 5.0) == pytest.approx(5e-4, rel=1e-12)
 
     def test_cosine_without_warmup_or_decay_is_zero(self):
-        config = ScheduleConfig("cosine_warmup_decay", 1e-3, warmup_epochs=0.0,
-                                decay_epochs=0.0)
+        config = ScheduleConfig("cosine_warmup_decay", 1e-3, 0.0, 0.0)
         assert schedule_lr(config, 0) == 0.0
         assert schedule_lr(config, 1.0) == 0.0
