@@ -91,9 +91,9 @@ class Sentence:
     ``comments`` keeps CoNLL-U comment lines verbatim; ``extra_rows``
     keeps multiword-token ranges and empty-node lines as raw column
     tuples, positioned by the number of word lines preceding them.  Each
-    extra row's column count and id are checked at construction (see
-    :func:`_extra_row_fault`), so every path that builds a sentence gets
-    the same CoNLL-U rules.
+    extra row's column count and id, and the order of the ranges, are
+    checked at construction (see :func:`_extra_rows_fault`), so every path
+    that builds a sentence gets the same CoNLL-U rules.
     """
 
     tokens: tuple[Token, ...]
@@ -113,17 +113,11 @@ class Sentence:
             for b in self.entity_spans:
                 if a is not b and spans_cross(a, b):
                     raise CorpusError(f"entity spans {a} and {b} cross")
-        for before, columns in self.extra_rows:
-            if len(columns) != _CONLLU_COLUMNS:
-                raise CorpusError(
-                    f"extra row {columns[0]!r} has {len(columns)} columns,"
-                    f" expected {_CONLLU_COLUMNS}"
-                    if columns
-                    else f"extra row is empty, expected {_CONLLU_COLUMNS} columns"
-                )
-            fault = _extra_row_fault(columns[0], before, n)
+        # Plain-text sentences, the most numerous, have no extra rows.
+        if self.extra_rows:
+            fault = _extra_rows_fault(self.extra_rows, n)
             if fault is not None:
-                raise CorpusError(fault)
+                raise CorpusError(fault[1])
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -176,6 +170,36 @@ def _extra_row_fault(token_id: str, before: int, n: int) -> str | None:
     whole, _, part = token_id.partition(".")
     if _id_number(whole) != before or _id_number(part) is None:
         return f"malformed empty node id {token_id!r}, expected {before}.N"
+    return None
+
+
+def _extra_rows_fault(
+    extra_rows: Iterable[tuple[int, tuple[str, ...]]], n: int
+) -> tuple[int, str] | None:
+    """The index and fault of the first extra row that is wrong for a
+    sentence of ``n`` words, or None: a row needs every column, an id that
+    :func:`_extra_row_fault` accepts and, for a range, a first word after
+    the last word of the range before it."""
+    previous, covered = None, 0
+    for index, (before, columns) in enumerate(extra_rows):
+        if len(columns) != _CONLLU_COLUMNS:
+            return index, (
+                f"extra row {columns[0]!r} has {len(columns)} columns,"
+                f" expected {_CONLLU_COLUMNS}"
+                if columns
+                else f"extra row is empty, expected {_CONLLU_COLUMNS} columns"
+            )
+        token_id = columns[0]
+        fault = _extra_row_fault(token_id, before, n)
+        if fault is None and "-" in token_id:
+            if before < covered:
+                fault = (
+                    f"multiword token range {token_id!r} overlaps or precedes"
+                    f" range {previous!r}"
+                )
+            previous, covered = token_id, int(token_id.partition("-")[2])
+        if fault is not None:
+            return index, fault
     return None
 
 
@@ -382,10 +406,9 @@ def _conllu_sentence(
         )
     except CorpusError as exc:
         # Name the faulty extra row's own line, not the block's end.
-        for (before, columns), line in zip(extra_rows, extra_lines):
-            fault = _extra_row_fault(columns[0], before, len(words))
-            if fault is not None:
-                raise ConlluParseError(line, fault) from exc
+        fault = _extra_rows_fault(extra_rows, len(words))
+        if fault is not None:
+            raise ConlluParseError(extra_lines[fault[0]], fault[1]) from exc
         raise ConlluParseError(end_line, str(exc)) from exc
     return new_doc, doc_id, sentence
 

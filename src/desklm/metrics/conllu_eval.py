@@ -14,13 +14,16 @@ The metric definitions follow the shared task exactly:
   the universal features and matching functional children (their
   alignment, deprel, UPOS and features);
 - BLEX replaces MLAS's morphology condition with lemma equality.
+
+Each side is flattened once per call, and all eight counts come from one
+pass over the aligned pairs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..corpus import Corpus
 from .counts import PrfCounts
@@ -66,14 +69,6 @@ class _Word:
     #: The parent's ``ref``, or None for the root; set with the refs.
     head_ref: int | None = None
 
-    @property
-    def is_content(self) -> bool:
-        return self.deprel in CONTENT_DEPRELS
-
-    @property
-    def is_functional(self) -> bool:
-        return self.deprel in FUNCTIONAL_DEPRELS
-
 
 #: Deletes the 17 space separators (Unicode category Zs).
 _SPACE_SEPARATORS = str.maketrans(
@@ -104,80 +99,80 @@ def _tree_fault(heads: list[int | None]) -> str | None:
         return "unrooted sentence"
     if roots > 1:
         return "multiple roots in sentence"
-    n = len(heads)
-    for i in range(n):
-        node, steps = i, 0
-        while heads[node] != 0:
+    # The first walk that reached each word.  Every earlier walk ended at
+    # the root, so a walk that meets an earlier walk's word reaches it too,
+    # and each word is walked through once.
+    walk = [-1] * len(heads)
+    for i in range(len(heads)):
+        node = i
+        while walk[node] < 0:
+            walk[node] = i
+            if heads[node] == 0:
+                break
             node = heads[node] - 1
-            steps += 1
-            if steps > n:
+        else:
+            if walk[node] == i:
                 return "cycle in dependency tree"
     return None
 
 
-def _flatten(corpus: Corpus) -> tuple[list[str], list[_Word]]:
-    """Characters of the raw text plus one _Word per syntactic word."""
-    characters: list[str] = []
+def _flatten(corpus: Corpus) -> tuple[str, list[_Word]]:
+    """The raw text plus one _Word per syntactic word."""
+    pieces: list[str] = []
+    offset = 0
     words: list[_Word] = []
-    # Filtered FEATS per distinct bundle: ingest shares one tuple per bundle.
-    filtered: dict[tuple[tuple[str, str], ...] | None, str] = {}
-    located = (
-        (doc.id, number, sentence)
-        for doc in corpus.documents
-        for number, sentence in enumerate(doc.sentences, start=1)
-    )
-    for doc_id, number, sentence in located:
-        n = len(sentence.tokens)
-        forms = [_strip_spaces(token.form) for token in sentence.tokens]
-        range_info = {
-            start - 1: (form, end - 1) for start, end, form in sentence.multiword_ranges
-        }
-        spans_by_word: dict[int, tuple[int, int]] = {}
-        mwt_cover: set[int] = set()
-        w = 0
-        while w < n:
-            if w in range_info:
-                form, last = range_info[w]
-                text = _strip_spaces(form)
-                mwt_cover.update(range(w, last + 1))
-            else:
-                text, last = forms[w], w
-            span = (len(characters), len(characters) + len(text))
-            characters.extend(text)
-            for i in range(w, last + 1):
-                spans_by_word[i] = span
-            w = last + 1
-
-        for token in sentence.tokens:
-            if token.ufeats not in filtered:
-                filtered[token.ufeats] = _filter_feats(token.ufeats)
-        sentence_words = [
-            _Word(
-                form=forms[i],
-                lemma=token.lemma or "_",
-                upos=token.upos or "_",
-                xpos=token.xpos or "_",
-                feats=filtered[token.ufeats],
-                deprel=(token.deprel or "_").split(":")[0],
-                span=spans_by_word[i],
-                is_multiword=i in mwt_cover,
-            )
-            for i, token in enumerate(sentence.tokens)
-        ]
-
-        heads = [token.head for token in sentence.tokens]
-        fault = _tree_fault(heads)
-        if fault is not None:
-            raise ConlluEvalError(f"document {doc_id!r}, sentence {number}: {fault}")
-        # Integer heads: a child holding its parent would form a cycle with
-        # the parent's functional_children, and outlive the call.
-        for word, head in zip(sentence_words, heads):
-            if head != 0:
-                word.head = len(words) + head - 1
-                if word.is_functional:
-                    sentence_words[head - 1].functional_children.append(word)
-        words.extend(sentence_words)
-    return characters, words
+    # What the metrics compare, once per distinct FEATS bundle (ingest
+    # shares one tuple per bundle) and per DEPREL.
+    feats_of: dict[tuple[tuple[str, str], ...] | None, str] = {}
+    deprel_of: dict[str | None, str] = {}
+    for doc in corpus.documents:
+        for number, sentence in enumerate(doc.sentences, start=1):
+            heads = [token.head for token in sentence.tokens]
+            fault = _tree_fault(heads)
+            if fault is not None:
+                raise ConlluEvalError(f"document {doc.id!r}, sentence {number}: {fault}")
+            ranges = {
+                first - 1: (last - 1, _strip_spaces(form))
+                for first, last, form in sentence.multiword_ranges
+            }
+            base = len(words)
+            functional: list[int] = []
+            # The last word of the multiword token being walked, if any.
+            covered = -1
+            for i, token in enumerate(sentence.tokens):
+                form = _strip_spaces(token.form)
+                if i > covered:
+                    if i in ranges:
+                        covered, text = ranges[i]
+                    else:
+                        text = form
+                    pieces.append(text)
+                    span = (offset, offset + len(text))
+                    offset = span[1]
+                if token.ufeats not in feats_of:
+                    feats_of[token.ufeats] = _filter_feats(token.ufeats)
+                if token.deprel not in deprel_of:
+                    deprel_of[token.deprel] = (token.deprel or "_").split(":")[0]
+                deprel = deprel_of[token.deprel]
+                head = token.head
+                if head and deprel in FUNCTIONAL_DEPRELS:
+                    functional.append(base + i)
+                words.append(_Word(
+                    form,
+                    token.lemma or "_",
+                    token.upos or "_",
+                    token.xpos or "_",
+                    feats_of[token.ufeats],
+                    deprel,
+                    span,
+                    i <= covered,
+                    base + head - 1 if head else None,
+                ))
+            # Integer heads: a child holding its parent would form a cycle
+            # with the parent's functional_children, and outlive the call.
+            for child in functional:
+                words[words[child].head].functional_children.append(words[child])
+    return "".join(pieces), words
 
 
 def _merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -257,25 +252,6 @@ def _align_words(gold: list[_Word], system: list[_Word]) -> list[tuple[_Word, _W
     return pairs
 
 
-def _alignment_score(
-    pairs: list[tuple[_Word, _Word]],
-    gold: list[_Word],
-    system: list[_Word],
-    key: Callable[[_Word], object],
-    keep: Callable[[_Word], bool] | None = None,
-) -> PrfCounts:
-    if keep is None:
-        gold_total, system_total = len(gold), len(system)
-        considered = pairs
-    else:
-        gold_total = sum(1 for w in gold if keep(w))
-        system_total = sum(1 for w in system if keep(w))
-        considered = [p for p in pairs if keep(p[0])]
-    correct = sum(1 for gold_word, system_word in considered
-                  if key(gold_word) == key(system_word))
-    return PrfCounts(correct, system_total, gold_total)
-
-
 @dataclass(frozen=True)
 class ConlluEvalReport:
     """The eight shared-task metrics, each as raw counts; F1 values are
@@ -298,49 +274,68 @@ class ConlluEvalReport:
         }
 
 
+def _functional_children(word: _Word) -> list[tuple[int, str, str, str]]:
+    """What MLAS compares of a word's functional children."""
+    return [(c.ref, c.deprel, c.upos, c.feats) for c in word.functional_children]
+
+
+def _locate(side: str, corpus: Corpus, words: list[_Word], at: int) -> str:
+    """The document and sentence of ``side`` whose raw text holds character
+    ``at``."""
+    index = next((i for i, word in enumerate(words) if word.span[1] > at), len(words))
+    for doc in corpus.documents:
+        for number, sentence in enumerate(doc.sentences, start=1):
+            if index < len(sentence):
+                return f"{side} document {doc.id!r}, sentence {number}"
+            index -= len(sentence)
+    return f"the end of the {side} text"
+
+
 def eval_conllu(gold: Corpus, system: Corpus) -> ConlluEvalReport:
     """Score ``system`` against ``gold``; both must share the raw text."""
-    gold_chars, gold_words = _flatten(gold)
-    system_chars, system_words = _flatten(system)
-    if gold_chars != system_chars:
-        prefix = 0
-        for g, s in zip(gold_chars, system_chars):
-            if g != s:
-                break
-            prefix += 1
+    gold_text, gold_words = _flatten(gold)
+    system_text, system_words = _flatten(system)
+    if gold_text != system_text:
+        at = len(os.path.commonprefix([gold_text, system_text]))
         raise ConlluEvalError(
             "gold and system raw texts differ "
-            f"(lengths {len(gold_chars)} vs {len(system_chars)}, "
-            f"first difference at character {prefix})"
+            f"(lengths {len(gold_text)} vs {len(system_text)}, first difference at "
+            f"character {at}: {_locate('gold', gold, gold_words, at)} and "
+            f"{_locate('system', system, system_words, at)})"
         )
 
-    pairs = _align_words(gold_words, system_words)
+    upos = xpos = ufeats = lemmas = uas = las = mlas = blex = 0
+    for g, s in _align_words(gold_words, system_words):
+        upos_match = g.upos == s.upos
+        feats_match = g.feats == s.feats
+        # A gold lemma of "_" is unannotated and matches any system lemma.
+        lemma_match = g.lemma == "_" or g.lemma == s.lemma
+        upos += upos_match
+        xpos += g.xpos == s.xpos
+        ufeats += feats_match
+        lemmas += lemma_match
+        if g.head_ref == s.head_ref:
+            uas += 1
+            if g.deprel == s.deprel:
+                las += 1
+                if g.deprel in CONTENT_DEPRELS:
+                    blex += lemma_match
+                    if (upos_match and feats_match
+                            and _functional_children(g) == _functional_children(s)):
+                        mlas += 1
 
-    def score(key, keep=None) -> PrfCounts:
-        return _alignment_score(pairs, gold_words, system_words, key, keep)
-
-    def lemma_key(word: _Word):
-        return word.lemma if gold_words[word.ref].lemma != "_" else "_"
-
+    word_totals = (len(system_words), len(gold_words))
+    content_totals = (
+        sum(w.deprel in CONTENT_DEPRELS for w in system_words),
+        sum(w.deprel in CONTENT_DEPRELS for w in gold_words),
+    )
     return ConlluEvalReport(
-        upos=score(lambda w: w.upos),
-        xpos=score(lambda w: w.xpos),
-        ufeats=score(lambda w: w.feats),
-        lemmas=score(lemma_key),
-        uas=score(lambda w: w.head_ref),
-        las=score(lambda w: (w.head_ref, w.deprel)),
-        mlas=score(
-            lambda w: (
-                w.head_ref,
-                w.deprel,
-                w.upos,
-                w.feats,
-                [(c.ref, c.deprel, c.upos, c.feats) for c in w.functional_children],
-            ),
-            keep=lambda w: w.is_content,
-        ),
-        blex=score(
-            lambda w: (w.head_ref, w.deprel, lemma_key(w)),
-            keep=lambda w: w.is_content,
-        ),
+        upos=PrfCounts(upos, *word_totals),
+        xpos=PrfCounts(xpos, *word_totals),
+        ufeats=PrfCounts(ufeats, *word_totals),
+        lemmas=PrfCounts(lemmas, *word_totals),
+        uas=PrfCounts(uas, *word_totals),
+        las=PrfCounts(las, *word_totals),
+        mlas=PrfCounts(mlas, *content_totals),
+        blex=PrfCounts(blex, *content_totals),
     )

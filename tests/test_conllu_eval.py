@@ -1,6 +1,7 @@
 """Tests for the CoNLL 2018 style evaluation."""
 
 import gc
+import random
 import sys
 import unicodedata
 from dataclasses import replace
@@ -8,9 +9,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_conllu
 from desklm.corpus import CorpusError, ingest_conllu
 from desklm.metrics import conllu_eval
 from desklm.metrics.conllu_eval import ConlluEvalError, _strip_spaces, eval_conllu
+from desklm.metrics.counts import PrfCounts
 
 
 def _corpus(text: str):
@@ -52,8 +55,6 @@ class TestIdentity:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_gold_vs_gold_fuzz(self, seed):
-        import random
-
         rng = random.Random(seed)
         upos = ["NOUN", "VERB", "ADJ", "ADP", "DET"]
         deprels = ["nsubj", "obj", "obl", "case", "det", "amod"]
@@ -128,8 +129,33 @@ class TestTokenizationMismatch:
 
     def test_differing_raw_text_is_error(self):
         other = GOLD_SPLIT.replace("Vlak", "Vlk")
-        with pytest.raises(ConlluEvalError, match="differ"):
+        with pytest.raises(ConlluEvalError, match=(
+            r"^gold and system raw texts differ \(lengths 15 vs 14, first difference at"
+            r" character 2: gold document 'doc1', sentence 1 and system document 'doc1',"
+            r" sentence 1\)$"
+        )):
             eval_conllu(_corpus(GOLD_SPLIT), _corpus(other))
+
+    def test_raw_text_difference_names_each_sides_document_and_sentence(self):
+        gold = "# newdoc id = g\n" + TEN_WORD_GOLD + GOLD_SPLIT
+        # GOLD_SPLIT in two sentences, its last character changed.
+        system = "# newdoc id = s\n" + TEN_WORD_GOLD + (
+            "1\tVlak\tvlak\tNOUN\tNN\t_\t2\tnsubj\t_\t_\n"
+            "2\tjede\tjet\tVERB\tVB\t_\t0\troot\t_\t_\n\n"
+            "1\tdo\tdo\tADP\tRR\t_\t2\tcase\t_\t_\n"
+            "2\tPrahx\tPraha\tPROPN\tNN\t_\t0\troot\t_\t_\n\n"
+        )
+        with pytest.raises(ConlluEvalError, match=(
+            r"\(lengths 36 vs 36, first difference at character 35: gold document 'g',"
+            r" sentence 2 and system document 's', sentence 3\)$"
+        )):
+            eval_conllu(_corpus(gold), _corpus(system))
+        # One text a prefix of the other: the shorter has no such character.
+        with pytest.raises(ConlluEvalError, match=(
+            r"\(lengths 36 vs 21, first difference at character 21: gold document 'g',"
+            r" sentence 2 and the end of the system text\)$"
+        )):
+            eval_conllu(_corpus(gold), _corpus(TEN_WORD_GOLD))
 
 
 MWT_GOLD = """\
@@ -228,12 +254,180 @@ class TestDefinitionDetails:
         with pytest.raises(ConlluEvalError, match=f"^document 'd7', sentence 2: {fault}$"):
             eval_conllu(_corpus(text), _corpus(text))
 
+    @pytest.mark.parametrize("kind", ["to the first word", "to the last word", "cycle"])
+    def test_twenty_thousand_word_chain(self, kind):
+        # Each word headed by its neighbour: a walk to the root from every
+        # word would take 2 * 10^8 steps.
+        n = 20_000
+        if kind == "to the first word":
+            heads = list(range(n))
+        else:
+            heads = [*range(2, n + 1), 0]
+        if kind == "cycle":
+            heads[0], heads[-1] = 0, 2
+        text = "".join(
+            f"{i}\tw\tw\tNOUN\tNN\t_\t{head}\t{'root' if head == 0 else 'nmod'}\t_\t_\n"
+            for i, head in enumerate(heads, start=1)
+        ) + "\n"
+        corpus = _corpus(text)
+        if kind == "cycle":
+            with pytest.raises(ConlluEvalError, match="^document 'doc1', sentence 1: cycle"):
+                eval_conllu(corpus, corpus)
+            return
+        report = eval_conllu(corpus, corpus)
+        assert report.las == report.mlas == PrfCounts(n, n, n)
+
     def test_order_independence_of_counts(self):
         two_sentences = TEN_WORD_GOLD + GOLD_SPLIT
         reversed_order = GOLD_SPLIT + TEN_WORD_GOLD
         a = eval_conllu(_corpus(two_sentences), _corpus(two_sentences))
         b = eval_conllu(_corpus(reversed_order), _corpus(reversed_order))
         assert a.scores() == b.scores()
+
+
+# Forms from a small alphabet, so that the LCS inside a multiword region
+# has ties to break; "A" and "a" are equal to it.
+_FORMS = ["a", "b", "ab", "ba", "A"]
+_UPOS = ["NOUN", "VERB", "ADP", "DET"]
+_XPOS = ["NN", "VB"]
+_FEATS = ["_", "Case=Nom", "Case=Gen|Number=Sing", "Case=Nom|Foo=Bar", "Foo=Bar"]
+# Content, functional (with subtypes) and neither.
+_DEPRELS = ["nsubj", "obj:x", "obl", "amod", "case", "det", "aux:pass", "cc", "punct"]
+
+
+def _tree(rng: random.Random, heads: list[int | None], root: int) -> list[int]:
+    """``heads`` (1-based, 0 for the root, None for any word) made into one
+    tree under word ``root`` (0-based): every cycle is cut at the root."""
+    heads = [
+        0 if i == root else (rng.randint(1, len(heads)) if h in (None, 0) else h)
+        for i, h in enumerate(heads)
+    ]
+    for i in range(len(heads)):
+        seen, node = set(), i
+        while heads[node] != 0:
+            if node in seen:
+                heads[node] = root + 1
+                break
+            seen.add(node)
+            node = heads[node] - 1
+    return heads
+
+
+def _word(rng: random.Random) -> dict:
+    return {"lemma": "_" if rng.random() < 0.2 else rng.choice(_FORMS),
+            "upos": rng.choice(_UPOS), "xpos": rng.choice(_XPOS), "feats": rng.choice(_FEATS),
+            "deprel": rng.choice(_DEPRELS), "head": None}
+
+
+def _sentence_rows(tokens: list[tuple[str, list[dict]]]) -> str:
+    """CoNLL-U rows of surface tokens, each (its text, its words)."""
+    rows, n = [], 0
+    for surface, words in tokens:
+        if len(words) > 1 or words[0]["form"] != surface:
+            rows.append(f"{n + 1}-{n + len(words)}\t{surface}" + "\t_" * 8)
+        for word in words:
+            n += 1
+            columns = [word["form"], word["lemma"], word["upos"], word["xpos"], word["feats"]]
+            deprel = "root" if word["head"] == 0 else word["deprel"]
+            rows.append("\t".join([str(n), *columns, str(word["head"]), deprel, "_", "_"]))
+    return "\n".join(rows) + "\n\n"
+
+
+def _random_pair(rng: random.Random) -> tuple[str, str]:
+    """A gold and a system sentence with one raw text: the system fuses,
+    splits and merges the gold's tokens and errs in every column."""
+    gold_tokens = []
+    for _ in range(rng.randint(1, 7)):
+        if rng.random() < 0.3:
+            words = [{**_word(rng), "form": rng.choice(_FORMS)} for _ in range(rng.randint(2, 3))]
+            surface = rng.choice(_FORMS) + rng.choice(_FORMS)
+        else:
+            surface = rng.choice(_FORMS) + rng.choice(["", "b"])
+            words = [{**_word(rng), "form": surface}]
+        gold_tokens.append((surface, words))
+    gold_words = [w for _, words in gold_tokens for w in words]
+    root = rng.randrange(len(gold_words))
+    for word, head in zip(gold_words, _tree(rng, [None] * len(gold_words), root)):
+        word["head"] = head
+    # Gold word index -> the system word copied from it.
+    copies: dict[int, int] = {}
+    system_tokens, system_words = [], []
+    k = index = 0
+    while k < len(gold_tokens):
+        surface, words = gold_tokens[k]
+        choice = rng.random()
+        if choice < 0.1 and k + 1 < len(gold_tokens):
+            merged = surface + rng.choice(["", "\u00a0"]) + gold_tokens[k + 1][0]
+            new = [(merged, [{**_word(rng), "form": merged}])]
+            index += len(words) + len(gold_tokens[k + 1][1])
+            k += 2
+        else:
+            if choice < 0.5:
+                new = [(surface, [dict(w) for w in words])]
+                copies.update((index + j, len(system_words) + j) for j in range(len(words)))
+            elif choice < 0.65:
+                new = [(surface, [{**_word(rng), "form": surface}])]
+            elif choice < 0.8:
+                count = rng.randint(1, 3)
+                new = [(surface, [{**_word(rng), "form": rng.choice(_FORMS)}
+                                  for _ in range(count)])]
+            else:
+                cut = rng.randint(1, len(surface) - 1) if len(surface) > 1 else 0
+                parts = [surface[:cut], surface[cut:]] if cut else [surface]
+                new = [(part, [{**_word(rng), "form": part}]) for part in parts]
+            index += len(words)
+            k += 1
+        for text, ws in new:
+            system_tokens.append((text, ws))
+            system_words.extend(ws)
+    # Copied words keep the gold annotation but for random errors; their
+    # heads follow the gold heads where those were copied too.
+    gold_index = {v: g for g, v in copies.items()}
+    heads: list[int | None] = []
+    for j, word in enumerate(system_words):
+        g = gold_index.get(j)
+        head = None
+        if g is not None:
+            for column, values in (("lemma", _FORMS), ("upos", _UPOS), ("xpos", _XPOS),
+                                   ("feats", _FEATS), ("deprel", _DEPRELS)):
+                if rng.random() < 0.15:
+                    word[column] = rng.choice(values)
+            gold_head = gold_words[g]["head"]
+            if rng.random() < 0.85 and gold_head and gold_head - 1 in copies:
+                head = copies[gold_head - 1] + 1
+        heads.append(head)
+    system_root = copies.get(root, rng.randrange(len(system_words)))
+    for word, head in zip(system_words, _tree(rng, heads, system_root)):
+        word["head"] = head
+    return _sentence_rows(gold_tokens), _sentence_rows(system_tokens)
+
+
+class TestReferenceEquivalence:
+    """The one-pass scorer against the multi-pass one it replaced, frozen
+    in ``reference_conllu``."""
+
+    NAMES = ("upos", "xpos", "ufeats", "lemmas", "uas", "las", "mlas", "blex")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_on_random_pairs(self, seed):
+        rng = random.Random(seed)
+        seen = dict.fromkeys(["gold ranges", "system ranges", "word counts differ",
+                              "gold lemma _", "LAS below UAS", "MLAS below BLEX"], 0)
+        for trial in range(40):
+            sentences = [_random_pair(rng) for _ in range(rng.randint(1, 4))]
+            gold = _corpus("# newdoc id = d\n" + "".join(g for g, _ in sentences))
+            system = _corpus("# newdoc id = d\n" + "".join(s for _, s in sentences))
+            new = eval_conllu(gold, system)
+            old = reference_conllu.eval_conllu(gold, system)
+            for name in self.NAMES:
+                assert getattr(new, name) == getattr(old, name), (trial, name)
+            seen["gold ranges"] += any(s.multiword_ranges for s in gold.sentences())
+            seen["system ranges"] += any(s.multiword_ranges for s in system.sentences())
+            seen["MLAS below BLEX"] += new.mlas.correct < new.blex.correct
+            seen["LAS below UAS"] += new.las.correct < new.uas.correct
+            seen["word counts differ"] += new.upos.gold_total != new.upos.system_total
+            seen["gold lemma _"] += any(t.lemma is None for s in gold.sentences() for t in s.tokens)
+        assert all(seen.values()), seen
 
 
 def test_words_are_freed_when_eval_conllu_returns():

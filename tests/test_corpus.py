@@ -304,6 +304,40 @@ class TestConlluExtraRows:
         with pytest.raises(CorpusError, match=f"^{message}$"):
             Sentence((Token("a", head=0), Token("b", head=1)), extra_rows=((0, columns),))
 
+    THREE_WORDS = [_row(1, "a", "_", 0), _row(2, "b", "_", 1), _row(3, "c", "_", 1)]
+
+    def test_overlapping_range_names_its_own_line(self):
+        # Accepted, eval_conllu would drop the second range and score its
+        # words as if they were not fused.
+        rows = [self._extra("1-2"), self.THREE_WORDS[0], self._extra("2-3"),
+                *self.THREE_WORDS[1:]]
+        with pytest.raises(ConlluParseError) as caught:
+            ingest_conllu(("".join(rows) + "\n").encode("utf-8"))
+        assert str(caught.value) == (
+            "line 3: multiword token range '2-3' overlaps or precedes range '1-2'"
+        )
+
+    @pytest.mark.parametrize("ranges, message", [
+        (((0, "1-2"), (1, "2-3")), "multiword token range '2-3' overlaps or precedes range '1-2'"),
+        (((0, "1-3"), (1, "2-2")), "multiword token range '2-2' overlaps or precedes range '1-3'"),
+        (((2, "3-3"), (0, "1-2")), "multiword token range '1-2' overlaps or precedes range '3-3'"),
+        (((0, "1-2"), (2, "3-3")), None),
+    ], ids=["overlap", "nested", "out of order", "adjacent"])
+    def test_ranges_must_follow_one_another(self, ranges, message):
+        text = "".join(self.THREE_WORDS) + "\n"
+        tokens = next(ingest_conllu(text.encode("utf-8")).sentences()).tokens
+        extra_rows = tuple(
+            (before, tuple(self._extra(token_id).rstrip("\n").split("\t")))
+            for before, token_id in ranges
+        )
+        if message is None:
+            assert Sentence(tokens, extra_rows=extra_rows).multiword_ranges == [
+                (1, 2, "x"), (3, 3, "x")
+            ]
+            return
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            Sentence(tokens, extra_rows=extra_rows)
+
     def test_multiword_ranges_are_one_based(self):
         rows = [self._extra("1-2"), *self.WORDS, self._extra("2.1")]
         sentence = next(ingest_conllu(("".join(rows) + "\n").encode("utf-8")).sentences())
