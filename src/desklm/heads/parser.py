@@ -4,21 +4,29 @@ Arc score(i, j) = Hi' U Dj + u'Hi + v'Dj + b over head representations H
 (artificial root prepended, n+1 rows) and dependent representations D
 (n rows).
 
-``decode_tree`` runs Chu-Liu/Edmonds once over a dense (n+1, n+1) score
+``decode_tree`` runs Chu-Liu/Edmonds over a dense (n+1, n+1) score
 matrix.  Each column's argmax is its greedy head; a greedy cycle becomes
 one node, whose entering arcs (score minus the cycle arc they displace)
 and leaving arcs are chosen by vectorised argmaxes; this repeats until
 the greedy heads form a tree, which is expanded back through the
-contractions.  The single-root constraint (Zmigrod, Vieira and Cotterell
-2020, arXiv:2010.02550) is applied in the same pass: root arcs stay out
-of the greedy choice while more than one node remains, so contraction
-goes on until all tokens are one node, which then takes the best root
-arc.  That is Chu-Liu/Edmonds under the lexicographic weight (-root
-arcs, score), so the result is exact with no re-decode per root child.
-At most n contractions of O(n^2) vectorised work each: O(n^3) in all.
-Score ties go to the smaller head: every argmax breaks ties by the tokens
-behind the (possibly contracted) arcs, toward the smaller head token, or
-the smaller dependent token when choosing where an arc enters a cycle.
+contractions.  The first pass is free: root arcs compete like any other.
+The single-root constraint (Zmigrod, Vieira and Cotterell 2020,
+arXiv:2010.02550) costs a second pass only when that tree has several
+root children.  This is exact: every single-rooted tree is a tree, so
+the constrained optimum scores no higher than the free one, and a free
+optimum with one root child is a constrained optimum.  The second pass
+keeps root arcs out of the greedy choice while more than one node
+remains, so contraction goes on until all tokens are one node, which
+then takes the best root arc: Chu-Liu/Edmonds under the lexicographic
+weight (-root arcs, score), exact with no re-decode per root child.  A
+single-rooted free tree takes only the contractions its greedy cycles
+need, usually a few; otherwise at most n more contractions of O(n^2)
+vectorised work each follow: O(n^3) in all.  Score ties go to the
+smaller head: every argmax breaks ties by the tokens behind the
+(possibly contracted) arcs, toward the smaller head token, or the
+smaller dependent token when choosing where an arc enters a cycle.  A
+single-rooted free tree is kept even where the second pass would break
+a tie between equal-scoring trees differently.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from ..neural.layers import uniform_param, zeros_param
 from ..neural.tensor import Tensor
 
 NEG_INF = float("-inf")
+# Stands in for a token that is not tied; every token array is np.intp.
+_UNTIED = np.iinfo(np.intp).max
 
 
 @dataclass(eq=False)
@@ -114,7 +124,7 @@ def _greedy_cycle(greedy: list[int]) -> list[int] | None:
 def _argmax(values: np.ndarray, token: np.ndarray, axis: int) -> np.ndarray:
     """Argmax along ``axis``; ties go to the smallest ``token``."""
     tied = values == values.max(axis=axis, keepdims=True)
-    return np.where(tied, token, np.iinfo(token.dtype).max).argmin(axis=axis)
+    return np.where(tied, token, _UNTIED).argmin(axis=axis)
 
 
 def _append_node(matrix: np.ndarray, rest: np.ndarray, column, row, corner) -> np.ndarray:
@@ -184,17 +194,29 @@ def decode_tree(
     when label scores are absent.
     """
     arc = np.asarray(scores.arc.data, dtype=np.float64)
+    if arc.ndim != 2 or arc.shape[0] != arc.shape[1] + 1:
+        raise ValueError(f"arc scores have shape {arc.shape}, expected (n+1, n)")
     if not np.isfinite(arc).all():
         raise ValueError("arc scores must be finite")
     n = arc.shape[1]
+    label = None if scores.label is None else np.asarray(scores.label.data)
+    if label is not None and (
+        label.ndim != 3 or label.shape[:2] != arc.shape or label.shape[2] == 0
+    ):
+        raise ValueError(
+            f"label scores have shape {label.shape}, expected (n+1, n, R) = ({n + 1}, {n}, R)"
+            " with R >= 1"
+        )
     if n == 0:
-        return [], [] if scores.label is not None else None
+        return [], [] if label is not None else None
 
     weight = np.full((n + 1, n + 1), NEG_INF)
     weight[:, 1:] = arc
     np.fill_diagonal(weight[1:, 1:], NEG_INF)
-    heads = _max_arborescence(weight, single_root)
+    heads = _max_arborescence(weight, False)
+    if single_root and np.count_nonzero(heads == 0) > 1:
+        heads = _max_arborescence(weight, True)
     labels = None
-    if scores.label is not None:
-        labels = np.asarray(scores.label.data)[heads, np.arange(n)].argmax(axis=-1).tolist()
+    if label is not None:
+        labels = label[heads, np.arange(n)].argmax(axis=-1).tolist()
     return heads.tolist(), labels

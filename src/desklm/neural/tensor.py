@@ -241,16 +241,21 @@ class Tensor:
         basic = _is_basic_index(key)
 
         def backward(g):
+            fresh = self.grad is None
+            if fresh:
+                self.grad = np.zeros_like(self.data)
             if basic:
                 # No repeated elements: add g into the selected view of the
                 # gradient, with no full-size scatter.
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
                 self.grad[key] += g
-                return
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
-            self._accumulate(full)
+            elif fresh:
+                np.add.at(self.grad, key, g)
+            else:
+                # Sum repeated elements apart, then add them to the gradient
+                # once, in that order.
+                full = np.zeros_like(self.data)
+                np.add.at(full, key, g)
+                self.grad += full
 
         return Tensor(self.data[key], parents=(self,), backward=backward)
 

@@ -2,10 +2,12 @@
 
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from desklm.heads import parser
 from desklm.heads.parser import (
     DepArcScores,
     biaffine_scores,
@@ -18,8 +20,8 @@ from gradcheck import gradient_check
 
 
 @functools.lru_cache(maxsize=None)
-def _valid_head_assignments(n: int, single_root: bool) -> tuple[tuple[int, ...], ...]:
-    """All arborescences over tokens 1..n as head tuples (0 = root)."""
+def _valid_head_assignments(n: int, single_root: bool) -> np.ndarray:
+    """All arborescences over tokens 1..n, one row of heads each (0 = root)."""
     valid = []
     for heads in itertools.product(*(range(n + 1) for _ in range(n))):
         if any(heads[d] == d + 1 for d in range(n)):
@@ -40,20 +42,45 @@ def _valid_head_assignments(n: int, single_root: bool) -> tuple[tuple[int, ...],
                 break
         if ok:
             valid.append(heads)
-    return tuple(valid)
+    valid = np.array(valid, dtype=np.intp).reshape(-1, n)
+    valid.flags.writeable = False
+    return valid
 
 
 def _brute_force_best(arc: np.ndarray, single_root: bool = True) -> float:
     n = arc.shape[1]
-    best = -np.inf
-    for heads in _valid_head_assignments(n, single_root):
-        score = sum(arc[heads[d], d] for d in range(n))
-        best = max(best, score)
-    return best
+    return arc[_valid_head_assignments(n, single_root), np.arange(n)].sum(axis=1).max()
 
 
 def _tree_score(arc: np.ndarray, heads: list[int]) -> float:
     return sum(arc[h, d] for d, h in enumerate(heads))
+
+
+def _planted_arc(rng: np.random.RandomState, n: int, ambiguous: bool) -> np.ndarray:
+    """Noisy scores around a random tree with one root child; when
+    ``ambiguous``, a second token scores highest from the root, so the
+    unconstrained optimum has two root children."""
+    gold_heads = [0] + [int(rng.randint(1, d)) for d in range(2, n + 1)]
+    order = rng.permutation(n) + 1
+    relabel = dict(zip(range(1, n + 1), order))
+    arc = rng.randn(n + 1, n)
+    arc[0] -= 3.0
+    for d, h in enumerate(gold_heads, start=1):
+        arc[relabel.get(h, 0), relabel[d] - 1] += 3.0
+    arc[0, relabel[1] - 1] += 6.0
+    if ambiguous:
+        other = relabel[2]
+        arc[0, other - 1] = arc.max() + 3.0
+    return arc
+
+
+def _weight(arc: np.ndarray) -> np.ndarray:
+    """The (n+1, n+1) matrix that ``decode_tree`` hands to the search."""
+    n = arc.shape[1]
+    weight = np.full((n + 1, n + 1), -np.inf)
+    weight[:, 1:] = arc
+    np.fill_diagonal(weight[1:, 1:], -np.inf)
+    return weight
 
 
 def _is_valid_arborescence(heads: list[int], single_root: bool = True) -> bool:
@@ -170,6 +197,27 @@ class TestDecodeTree:
         with pytest.raises(ValueError):
             decode_tree(DepArcScores(arc=Tensor(np.array([[np.inf], [0.0]]))))
 
+    @pytest.mark.parametrize(
+        "arc_shape, label_shape, expected",
+        [
+            ((3, 3), None, "(n+1, n)"),
+            ((3,), None, "(n+1, n)"),
+            ((2, 3, 1), None, "(n+1, n)"),
+            ((0, 0), None, "(n+1, n)"),
+            # The root row is missing: labels would be read one row off.
+            ((4, 3), (3, 3, 2), "(n+1, n, R) = (4, 3, R)"),
+            ((4, 3), (4, 3), "(n+1, n, R) = (4, 3, R)"),
+            ((4, 3), (4, 3, 0), "(n+1, n, R) = (4, 3, R)"),
+            ((1, 0), (1, 1, 2), "(n+1, n, R) = (1, 0, R)"),
+        ],
+    )
+    def test_misshaped_scores_rejected(self, arc_shape, label_shape, expected):
+        label = None if label_shape is None else Tensor(np.zeros(label_shape))
+        named = "arc" if label is None else "label"
+        message = f"{named} scores have shape {label_shape or arc_shape}, expected {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode_tree(DepArcScores(arc=Tensor(np.zeros(arc_shape)), label=label))
+
     @pytest.mark.parametrize("single_root", [True, False])
     def test_random_instances_match_brute_force(self, single_root):
         rng = np.random.RandomState(42)
@@ -181,6 +229,45 @@ class TestDecodeTree:
             assert _tree_score(arc, heads) == pytest.approx(
                 _brute_force_best(arc, single_root), abs=1e-9
             ), (trial, n, heads)
+
+    def test_same_heads_as_the_single_root_search(self):
+        rng = np.random.RandomState(29)
+        free_single_rooted = 0
+        for n in range(1, 61):
+            for arc in (rng.randn(n + 1, n), _planted_arc(rng, n, ambiguous=False)):
+                heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)))
+                assert heads == parser._max_arborescence(_weight(arc), True).tolist(), n
+                free = parser._max_arborescence(_weight(arc), False)
+                free_single_rooted += np.count_nonzero(free == 0) == 1
+        # Both paths of decode_tree ran.
+        assert 60 <= free_single_rooted < 120
+
+    @pytest.mark.parametrize("single_root", [True, False])
+    def test_integer_ties_reach_the_brute_force_optimum(self, single_root):
+        rng = np.random.RandomState(7)
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            arc = rng.randint(0, 3, size=(n + 1, n)).astype(np.float64)
+            heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)), single_root=single_root)
+            assert _is_valid_arborescence(heads, single_root)
+            assert _tree_score(arc, heads) == _brute_force_best(arc, single_root), (trial, arc)
+
+    @pytest.mark.parametrize("ambiguous, passes", [(False, [False]), (True, [False, True])])
+    def test_single_root_pass_runs_only_on_several_root_children(
+        self, monkeypatch, ambiguous, passes
+    ):
+        calls = []
+        search = parser._max_arborescence
+
+        def counted(weight, single_root):
+            calls.append(single_root)
+            return search(weight, single_root)
+
+        monkeypatch.setattr(parser, "_max_arborescence", counted)
+        arc = _planted_arc(np.random.RandomState(100), 100, ambiguous)
+        heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)))
+        assert calls == passes
+        assert heads.count(0) == 1
 
     def test_tie_scores_still_valid(self):
         arc = np.zeros((4, 3))
@@ -224,19 +311,7 @@ class TestDecodeTree:
 
     @pytest.mark.parametrize("n", [100, 120, 150])
     def test_ambiguous_root_worst_case(self, n):
-        # A planted tree plus a second token that scores highest from the
-        # root, so the unconstrained optimum has two root children.
-        rng = np.random.RandomState(n)
-        gold_heads = [0] + [int(rng.randint(1, d)) for d in range(2, n + 1)]
-        order = rng.permutation(n) + 1
-        relabel = dict(zip(range(1, n + 1), order))
-        arc = rng.randn(n + 1, n)
-        arc[0] -= 3.0
-        for d, h in enumerate(gold_heads, start=1):
-            arc[relabel.get(h, 0), relabel[d] - 1] += 3.0
-        arc[0, relabel[1] - 1] += 6.0
-        other = relabel[2]
-        arc[0, other - 1] = arc.max() + 3.0
+        arc = _planted_arc(np.random.RandomState(n), n, ambiguous=True)
         heads, _ = decode_tree(DepArcScores(arc=Tensor(arc)))
         assert _is_valid_arborescence(heads)
         unconstrained, _ = decode_tree(DepArcScores(arc=Tensor(arc)), single_root=False)
