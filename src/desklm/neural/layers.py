@@ -123,16 +123,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
-    """Scaled dot-product attention over (B, heads, S, head_dim) inputs,
-    ``softmax(q k^T / sqrt(head_dim) + bias) v``; one graph node.
+    """Scaled dot-product attention of (B, heads, Sq, head_dim) queries
+    against (B, heads, Sk, head_dim) keys and values,
+    ``softmax(q k^T / sqrt(head_dim) + bias) v``; one graph node whose
+    output is (B, heads, Sq, head_dim).
 
-    ``bias`` is a plain array added to the scores (-1e9 at padded keys).
-    The backward pass keeps the attention weights ``y`` and the output
-    ``o = y v``: the row sum ``sum(ga * y)`` with ``ga = g v^T`` equals
-    ``sum(g * o)`` (FlashAttention's backward, arXiv:2205.14135), so the
-    scores get ``gs = y * (ga - sum(g * o)) * scale`` with no second
-    (S, S) product, ``q`` gets ``gs k``, ``k`` gets ``gs^T q`` and ``v``
-    gets ``y^T g``.
+    ``bias`` is a plain array added to the (Sq, Sk) scores (-1e9 at padded
+    keys).  The backward pass keeps the attention weights ``y`` and the
+    output ``o = y v``: the row sum ``sum(ga * y)`` with ``ga = g v^T``
+    equals ``sum(g * o)`` (FlashAttention's backward, arXiv:2205.14135),
+    so the scores get ``gs = y * (ga - sum(g * o)) * scale`` with no
+    second (Sq, Sk) product, ``q`` gets ``gs k``, ``k`` gets ``gs^T q``
+    and ``v`` gets ``y^T g``.
     """
     scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.data.dtype)
     # The unfused graph's arithmetic in its order, so results match it bit for bit.
@@ -164,7 +166,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
 
 
 def forward_transformer(
-    config: TransformerConfig, params: dict[str, Tensor], input_ids: np.ndarray
+    config: TransformerConfig,
+    params: dict[str, Tensor],
+    input_ids: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> list[Tensor]:
     """Run the pre-norm encoder stack over a (B, S) id matrix; returns all
     layer outputs (embeddings first, so ``layers + 1`` tensors of shape
@@ -172,15 +177,28 @@ def forward_transformer(
 
     Keys that hold the pad id (``ByteVocab.special_tokens.pad``) are
     excluded from attention.
+
+    ``rows``, a (B, M) matrix of positions, limits the last layer to those
+    positions: its keys and values still come from every position, but its
+    queries, attention output, residual, second layer norm and FFN are
+    computed only at ``rows``, so the last tensor returned is
+    (B, M, hidden), row ``m`` of sample ``b`` being position
+    ``rows[b, m]``.  Without ``rows`` every layer runs at every position.
     """
     ids = np.asarray(input_ids)
     if ids.ndim != 2:
         raise ValueError(f"input ids must be a (batch, seq) matrix, got shape {ids.shape}")
+    if ids.size == 0:
+        raise ValueError(f"input ids must not be empty, got shape {ids.shape}")
     batch, seq = ids.shape
     if seq > config.max_positions:
         raise ValueError(f"sequence length {seq} exceeds max positions {config.max_positions}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("input id out of vocabulary range")
+        row, column = np.argwhere((ids < 0) | (ids >= config.vocab_size))[0]
+        raise ValueError(
+            f"input id {ids[row, column]} at (row {row}, column {column}) out of vocabulary "
+            f"range [0, {config.vocab_size})"
+        )
 
     x = params["tok_emb"][ids] + params["pos_emb"][:seq]
     outputs = [x]
@@ -192,15 +210,20 @@ def forward_transformer(
     for i in range(config.layers):
         p = f"layer{i}"
         h = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        # Queries and everything after attention run at the query rows only.
+        h_query = h
+        if rows is not None and i == config.layers - 1:
+            at_rows = (np.arange(batch)[:, None], rows)
+            x, h_query = x[at_rows], h[at_rows]
 
         def split_heads(t: Tensor) -> Tensor:
-            return t.reshape(batch, seq, nh, dh).transpose(0, 2, 1, 3)
+            return t.reshape(batch, t.shape[1], nh, dh).transpose(0, 2, 1, 3)
 
-        q = split_heads(h @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"])
+        q = split_heads(h_query @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"])
         k = split_heads(h @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"])
         v = split_heads(h @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"])
 
-        context = attention(q, k, v, bias).transpose(0, 2, 1, 3).reshape(batch, seq, config.hidden)
+        context = attention(q, k, v, bias).transpose(0, 2, 1, 3).reshape(x.shape)
         x = x + (context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"])
 
         h2 = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])

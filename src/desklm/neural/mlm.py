@@ -2,9 +2,12 @@
 training step that it, the task heads and the sentiment folds share, and
 ``encode_texts``, the one path from raw text to the transformer's layers.
 
-The MLM head scores only the masked rows: the output layer never sees the
-~85% of positions whose target is ignored (as in RoBERTa's reference
-implementation)."""
+Only the masked rows reach the loss, so only they are computed where
+nothing else needs them: the last transformer layer runs its queries,
+attention output and FFN at the targeted positions only (its keys and
+values still come from every position), and the MLM head scores only
+those rows, never the ~85% of positions whose target is ignored (as in
+RoBERTa's reference implementation)."""
 
 from __future__ import annotations
 
@@ -58,13 +61,25 @@ def _longest(model_config: TransformerConfig, samples: Sequence[Sample]) -> int:
     return max(len(s.ids) for s in samples)
 
 
+def _target_rows(target_ids: np.ndarray) -> np.ndarray:
+    """The ``rows`` of ``forward_transformer`` for a (B, S) target matrix:
+    each sample's targeted positions in order, padded to the batch's
+    largest target count M with its first untargeted positions, whose
+    outputs are dropped; (B, M), with M = 0 when nothing is targeted."""
+    untargeted = target_ids == IGNORE_INDEX
+    most = int((~untargeted).sum(axis=1).max(initial=0))
+    return np.argsort(untargeted, axis=1, kind="stable")[:, :most]
+
+
 def _masked_logits(
-    params: dict[str, Tensor], hidden: list[Tensor], target_ids: np.ndarray
+    params: dict[str, Tensor], hidden: list[Tensor], target_ids: np.ndarray, rows: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
-    """MLM-head logits of the last layer's targeted rows only, with their
-    targets: (n, vocab) logits and n ids, none of them ignored."""
-    targeted = np.nonzero(target_ids != IGNORE_INDEX)
-    return mlm_logits(params, hidden[-1][targeted]), target_ids[targeted]
+    """MLM-head logits of the targeted rows only, with their targets:
+    (n, vocab) logits and n ids, none of them ignored.  ``hidden`` is the
+    forward pass at ``rows``, the positions ``_target_rows`` picked."""
+    targets = np.take_along_axis(target_ids, rows, axis=1)
+    targeted = np.nonzero(targets != IGNORE_INDEX)
+    return mlm_logits(params, hidden[-1][targeted]), targets[targeted]
 
 
 def train_mlm(
@@ -102,8 +117,9 @@ def train_mlm(
             mask_prob=mask_prob,
             seed=seed + 7919 * (step + 1),
         )
-        hidden = forward_transformer(model_config, params, batch.input_ids)
-        loss = mlm_loss(*_masked_logits(params, hidden, batch.target_ids))
+        rows = _target_rows(batch.target_ids)
+        hidden = forward_transformer(model_config, params, batch.input_ids, rows=rows)
+        loss = mlm_loss(*_masked_logits(params, hidden, batch.target_ids, rows))
         lr = schedule_lr(schedule_config, step + 1)
         value = train_step(params, state, adam_config, loss, lr)
         losses.append(value)
@@ -131,8 +147,9 @@ def eval_masked_accuracy(
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
         batch = build_mlm_batch(chunk, vocab, max_len=max_len, mask_prob=mask_prob, seed=seed + start)
-        hidden = forward_transformer(model_config, frozen, batch.input_ids)
-        logits, targets = _masked_logits(frozen, hidden, batch.target_ids)
+        rows = _target_rows(batch.target_ids)
+        hidden = forward_transformer(model_config, frozen, batch.input_ids, rows=rows)
+        logits, targets = _masked_logits(frozen, hidden, batch.target_ids, rows)
         correct += int((np.argmax(logits.data, axis=-1) == targets).sum())
         total += targets.size
     return correct / total if total else 0.0

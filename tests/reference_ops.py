@@ -6,8 +6,9 @@ the transformer's ops did before they were fused, so patching them in
 with ``install`` reproduces the goldens recorded before the fusion
 exactly.  ``_power`` and ``_divide`` are the generic power and division
 nodes these compositions were built from.  ``full_row_logits`` stands in
-for ``mlm._masked_logits``: it scores every row and leaves the selection
-of the targeted ones to ``mlm_loss``.
+for ``mlm._masked_logits``: it scores every row of a last layer run at
+every position and leaves the selection of the targeted ones to
+``mlm_loss``.
 """
 
 import math
@@ -74,14 +75,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias) -> Tensor:
     return layers.softmax(scores, axis=-1) @ v
 
 
-def full_row_logits(params, hidden, target_ids):
+def full_row_logits(params, hidden, target_ids, rows):
     """MLM-head logits of every last-layer row, with every target."""
     return layers.mlm_logits(params, hidden[-1]), target_ids
 
 
 def install_full_row_head(monkeypatch) -> None:
-    """Route ``train_mlm`` through ``full_row_logits``.  Not for
-    ``eval_masked_accuracy``, which counts every row the head returns."""
+    """Run ``train_mlm``'s last layer at every row (no ``rows``) and score
+    them all through ``full_row_logits``.  Not for ``eval_masked_accuracy``,
+    which counts every row the head returns."""
+    monkeypatch.setattr(mlm, "_target_rows", lambda target_ids: None)
     monkeypatch.setattr(mlm, "_masked_logits", full_row_logits)
 
 

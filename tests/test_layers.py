@@ -74,6 +74,21 @@ class TestTransformerForward:
         with pytest.raises(ValueError, match=r"\(batch, seq\) matrix, got shape \(4,\)"):
             forward_transformer(TINY, params, np.array([1, 4, 9, 2]))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)])
+    def test_empty_ids_rejected_with_their_shape(self, shape):
+        params = _params64(TINY)
+        message = rf"^input ids must not be empty, got shape \({shape[0]}, {shape[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            forward_transformer(TINY, params, np.zeros(shape, dtype=int))
+
+    @pytest.mark.parametrize("bad", [TINY.vocab_size, -1])
+    def test_out_of_range_id_named_with_its_row_and_column(self, bad):
+        params = _params64(TINY)
+        ids = np.array([[1, 4, 9, 2], [3, 3, bad, 2]])
+        message = rf"^input id {bad} at \(row 1, column 2\) out of vocabulary range \[0, 50\)$"
+        with pytest.raises(ValueError, match=message):
+            forward_transformer(TINY, params, ids)
+
     def test_full_mlm_gradient_check(self):
         config = TransformerConfig(
             layers=1, hidden=8, heads=2, ff_dim=12, vocab_size=11, max_positions=6

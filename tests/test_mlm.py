@@ -66,9 +66,10 @@ GOLDEN_LOSSES = [
 GOLDEN_DIGEST = "18449bf0bcc67cf2d0b9d0cf8974137e85b8414765395be21a5d2a0bb5d1e4a5"
 
 
-# Tensor nodes one train_mlm step builds on this config with the fused ops
-# (the unfused reference ops build 101).
-FUSED_NODES_PER_STEP = 47
+# Tensor nodes one train_mlm step builds on this config with the fused ops,
+# two of them gathering the last layer's residual and normed input at the
+# targeted rows (the unfused reference ops with the full-row head build 101).
+FUSED_NODES_PER_STEP = 49
 
 
 def _setup():
@@ -343,11 +344,17 @@ def test_masked_row_loss_gradient_check():
     ignored = IGNORE_INDEX
     targets = np.array([[5, ignored, 9, ignored, 2], [ignored, 6, 1, ignored, ignored]])
 
-    def loss_fn():
-        hidden = layers.forward_transformer(config, params, ids)
-        return layers.mlm_loss(*mlm._masked_logits(params, hidden, targets))
+    # Row 1 has two targets to row 0's three, so its last query row is padding.
+    rows = mlm._target_rows(targets)
+    assert rows.tolist() == [[0, 2, 4], [1, 2, 0]]
 
-    checked = {name: params[name] for name in ("tok_emb", "mlm.w", "layer0.attn.wk")}
+    def loss_fn():
+        hidden = layers.forward_transformer(config, params, ids, rows=rows)
+        return layers.mlm_loss(*mlm._masked_logits(params, hidden, targets, rows))
+
+    # The last (here the only) layer's queries and FFN run at the rows only.
+    names = ("tok_emb", "mlm.w", "layer0.attn.wk", "layer0.attn.wq", "layer0.ff.w1")
+    checked = {name: params[name] for name in names}
     report = gradient_check(loss_fn, checked, tolerance=1e-6)
     assert report.passed, report.failing()
 
@@ -357,21 +364,31 @@ def test_eval_masked_accuracy_predicts_what_the_full_rows_predict(monkeypatch):
     params, _ = _run()
     calls = []
     masked_logits = mlm._masked_logits
+    forward = mlm.forward_transformer
+
+    def recording_forward(model_config, frozen, input_ids, rows):
+        calls.append([input_ids, rows])
+        return forward(model_config, frozen, input_ids, rows=rows)
 
     def recording(*args):
         logits, targets = masked_logits(*args)
-        calls.append((args[1][-1], args[2], logits.data, targets))
+        calls[-1] += [args[1][-1].data, args[2], logits.data, targets]
         return logits, targets
 
+    monkeypatch.setattr(mlm, "forward_transformer", recording_forward)
     monkeypatch.setattr(mlm, "_masked_logits", recording)
     accuracy = eval_masked_accuracy(
         config, params, samples, vocab, seed=1, mask_prob=0.3, batch_size=2
     )
     assert len(calls) > 1
     correct = total = 0
-    for last, target_ids, logits, targets in calls:
+    for input_ids, rows, last, target_ids, logits, targets in calls:
+        full_last = layers.forward_transformer(config, constants(params), input_ids)[-1]
+        at_rows = np.take_along_axis(full_last.data, rows[..., None], axis=1)
+        assert last.shape == (len(input_ids), rows.shape[1], config.hidden)
+        assert np.max(np.abs(last - at_rows)) <= 1e-12
         targeted = target_ids != IGNORE_INDEX
-        full = layers.mlm_logits(constants(params), last).data
+        full = layers.mlm_logits(constants(params), full_last).data
         assert np.array_equal(targets, target_ids[targeted])
         assert np.array_equal(np.argmax(logits, axis=-1), np.argmax(full[targeted], axis=-1))
         correct += int((np.argmax(full[targeted], axis=-1) == targets).sum())
@@ -389,3 +406,79 @@ def test_nothing_masked_gives_zero_losses_and_leaves_parameters_unchanged():
     assert losses == [0.0] * 3
     for name, p in params.items():
         assert np.array_equal(p.data, before[name]), name
+
+
+def _gradients(params, loss):
+    for p in params.values():
+        p.zero_grad()
+    loss.backward()
+    grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad for n, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
+    return grads
+
+
+@pytest.mark.parametrize("case", ["mixed", "nothing_masked"])
+def test_last_layer_at_the_targeted_rows_matches_the_full_rows(case):
+    config = TransformerConfig(
+        layers=2, hidden=8, heads=2, ff_dim=16, vocab_size=20, max_positions=8
+    )
+    params = init_transformer_params(config, seed=5, dtype=np.float64)
+    ids = np.random.RandomState(5).randint(3, 20, size=(3, 7))
+    ids[1, 5:] = 2  # pad
+    ignored = IGNORE_INDEX
+    targets = np.full(ids.shape, ignored)
+    if case == "mixed":
+        # Three targets, one, and none.
+        targets[0, [1, 4, 6]] = [7, 8, 9]
+        targets[1, 3] = 10
+    rows = mlm._target_rows(targets)
+    counts = (targets != ignored).sum(axis=1)
+    assert rows.shape == (3, counts.max())
+    for row, count, target in zip(rows, counts, targets):
+        assert row.tolist()[:count] == np.flatnonzero(target != ignored).tolist()
+
+    pruned = layers.forward_transformer(config, params, ids, rows=rows)
+    full = layers.forward_transformer(config, params, ids)
+    for before, alt in zip(pruned[:-1], full[:-1]):
+        assert np.array_equal(before.data, alt.data)
+    assert pruned[-1].shape == (3, rows.shape[1], config.hidden)
+    at_rows = np.take_along_axis(full[-1].data, rows[..., None], axis=1)
+    assert np.max(np.abs(pruned[-1].data - at_rows), initial=0.0) <= 1e-12
+
+    pruned_loss = layers.mlm_loss(*mlm._masked_logits(params, pruned, targets, rows))
+    full_loss = layers.mlm_loss(layers.mlm_logits(params, full[-1]), targets)
+    assert abs(float(pruned_loss.data) - float(full_loss.data)) <= 1e-12
+    pruned_grads, full_grads = _gradients(params, pruned_loss), _gradients(params, full_loss)
+    for name in params:
+        assert np.max(np.abs(pruned_grads[name] - full_grads[name])) <= 1e-12, name
+    if case == "nothing_masked":
+        assert not any(g.any() for g in pruned_grads.values())
+
+    params32 = init_transformer_params(config, seed=5, dtype=np.float32)
+    outputs = layers.forward_transformer(config, params32, ids, rows=rows)
+    assert [o.data.dtype for o in outputs] == [np.float32] * (config.layers + 1)
+
+
+def test_train_step_runs_the_last_layer_queries_at_the_most_targets(monkeypatch):
+    batches, shapes = [], []
+    build = mlm.build_mlm_batch
+    monkeypatch.setattr(
+        mlm, "build_mlm_batch", lambda *a, **k: batches.append(build(*a, **k)) or batches[-1]
+    )
+    attention = layers.attention
+
+    def recording(q, k, v, bias):
+        shapes.append((q.shape, k.shape))
+        return attention(q, k, v, bias)
+
+    monkeypatch.setattr(layers, "attention", recording)
+    _, _, config = _setup()
+    _run(steps=1)
+    [batch] = batches
+    [(query, key)] = shapes
+    most = int((batch.target_ids != IGNORE_INDEX).sum(axis=1).max())
+    batch_size, seq = batch.input_ids.shape
+    assert 0 < most < seq
+    assert query == (batch_size, config.heads, most, config.head_dim)
+    assert key == (batch_size, config.heads, seq, config.head_dim)
